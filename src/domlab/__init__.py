@@ -27,8 +27,6 @@ from .graphs import (
     ResourceError,
     VertexSet,
     connected_components,
-    diameter,
-    distance_matrix,
     distance_power_conflict_graph,
     induced_subgraph,
     read_graph_text,
@@ -44,8 +42,6 @@ from .products import (
     multiway_direct_complete,
     product_pair_adjacent,
     product_pairing_is_valid,
-    rook_axis_class,
-    rook_product_partition,
 )
 from .solvers import (
     Budget,

@@ -31,6 +31,7 @@ from .graphs import (
     ResourceError,
     VertexSet,
     bits_of,
+    ensure,
     has_isolated_vertex,
 )
 from .matching import has_perfect_matching
@@ -66,6 +67,8 @@ VERIFIED = "verified"
 REFUTED = "refuted"
 BOUNDS_ONLY = "bounds-only"
 SKIPPED = "skipped-resource"
+
+_BUDGET_SETTLES = "the default budget left a claim instance unsettled"
 
 
 @dataclass
@@ -369,7 +372,10 @@ def check_lollipop_product_witness(t=3, orders=(4, 4, 4), cases=((0, 0), (0, 1),
             valid &= implicit_direct_domination_check(left, right, members)
         if b:
             lg, lvs, _ = appended_path_paired_witness(list(orders), a)
-            assert lg.n == left.n and lg.adj == left.adj
+            ensure(
+                lg.n == left.n and lg.adj == left.adj,
+                "appended-path graph differs from the stage graph",
+            )
             lmem = _members(lvs)
         for j in range(b):
             attach = 0 if j == 0 else right.n - 1
@@ -431,7 +437,7 @@ def check_tree_paired_packing_identity(count=200, max_order=12, seed=7) -> Claim
         tree = random_tree(n, s)
         pr = paired_domination_number(tree)
         pk = packing_number(tree, 3)
-        assert pr.exact and pk.exact
+        ensure(pr.exact and pk.exact, _BUDGET_SETTLES)
         if pr.value == 2 * pk.value:
             matched += 1
         else:
@@ -468,7 +474,7 @@ def check_tree_product_half_bound(count=50, max_order=7, seed=7) -> ClaimReport:
         p2 = paired_domination_number(t2)
         prod, _ = direct_product(t1, t2)
         pp = paired_domination_number(prod)
-        assert p1.exact and p2.exact and pp.exact
+        ensure(p1.exact and p2.exact and pp.exact, _BUDGET_SETTLES)
         lhs2 = 2 * pp.value
         rhs = p1.value * p2.value
         ratio = round(pp.value / rhs, 6)
@@ -517,7 +523,7 @@ def check_pendant_pairs_embedding() -> ClaimReport:
         cp = paired_domination_number(prod)
         rp = packing_number(prod, 3)
         dp = domination_number(prod)
-        assert all(c.exact for c in (cg, ch, rg, rh, cp, rp, dp))
+        ensure(all(c.exact for c in (cg, ch, rg, rh, cp, rp, dp)), _BUDGET_SETTLES)
         values[f"gamma_pr_left[{label}]"] = cg.value
         values[f"gamma_pr_right[{label}]"] = ch.value
         values[f"rho3_left[{label}]"] = rg.value
@@ -553,7 +559,7 @@ def check_pendant_pairs_embedding() -> ClaimReport:
     ch = paired_domination_number(hp)
     rg = packing_number(gp, 3)
     rh = packing_number(hp, 3)
-    assert all(c.exact for c in (cg, ch, rg, rh))
+    ensure(all(c.exact for c in (cg, ch, rg, rh)), _BUDGET_SETTLES)
     values["gamma_pr_left[P4,C5]"] = cg.value
     values["gamma_pr_right[P4,C5]"] = ch.value
     if not (
@@ -610,7 +616,7 @@ def check_rook_upper_domination() -> ClaimReport:
         g = rook2xn(n)
         uc = upper_domination_number(g)
         ac = independence_number(g)
-        assert uc.exact and ac.exact
+        ensure(uc.exact and ac.exact, _BUDGET_SETTLES)
         values[f"upper_gamma[{n}]"] = uc.value
         values[f"alpha[{n}]"] = ac.value
         if n == 8:
@@ -647,7 +653,7 @@ def check_rook_upper_domination() -> ClaimReport:
     prod2, _ = direct_product(rook2xn(2), rook2xn(2))
     exh_val, exh_wit = upper_domination_exhaustive(prod2)
     bb = upper_domination_number(prod2)
-    assert bb.exact and bb.value == exh_val
+    ensure(bb.exact and bb.value == exh_val, "branch and bound disagrees with the exhaustive scan")
     values["product_upper_exhaustive[2]"] = exh_val
     witnesses["product_upper[2]"] = _members(exh_wit)
     notes.append(
@@ -682,7 +688,7 @@ def check_product_additive_domination(count=100, max_order=8, seed=7) -> ClaimRe
         ch = domination_number(h)
         prod, _ = direct_product(g, h)
         cp = domination_number(prod)
-        assert cg.exact and ch.exact and cp.exact
+        ensure(cg.exact and ch.exact and cp.exact, _BUDGET_SETTLES)
         slack = cp.value - (cg.value + ch.value - 1)
         min_slack = slack if min_slack is None else min(min_slack, slack)
         if slack < 0:

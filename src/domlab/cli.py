@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .claims import SUITE_ORDER, distinct_trees, ratio_scan, run_suite
+from .claims import distinct_trees, ratio_scan, run_suite
 from .families import build_family, parse_family_spec
 from .graphs import DomainError, FormatError, ResourceError, read_graph_text, write_graph_text
 from .products import cartesian_product, direct_product
@@ -44,7 +44,9 @@ def _load_graph(path: str):
 
 
 def _budget(args) -> Budget:
-    if getattr(args, "exact_budget", None):
+    """Node budget from --exact-budget, else the DOMLAB_BUDGET_MS wall clock,
+    else the default; a bad value raises DomainError or FormatError."""
+    if args.exact_budget is not None:
         return Budget(max_nodes=args.exact_budget)
     env = os.environ.get("DOMLAB_BUDGET_MS")
     if env:
@@ -87,9 +89,12 @@ def cmd_compute(args) -> int:
     try:
         budget = _budget(args)
         graphs = [_load_graph(p) for p in args.graphs]
-    except (OSError, FormatError) as exc:
+    except (OSError, FormatError, DomainError) as exc:
         _err(str(exc))
         return EXIT_USAGE
+    except ResourceError as exc:
+        _err(str(exc))
+        return EXIT_GUARD
     try:
         if len(graphs) == 2:
             make = direct_product if args.product == "direct" else cartesian_product
@@ -192,14 +197,18 @@ def cmd_scan(args) -> int:
         _err("min-n larger than max-n")
         return EXIT_USAGE
     try:
+        budget = _budget(args)
         pairs = _scan_pairs(args)
     except (FormatError, DomainError) as exc:
         _err(str(exc))
         return EXIT_USAGE
+    except ResourceError as exc:
+        _err(str(exc))
+        return EXIT_GUARD
     if not pairs:
         _err("pattern produced no instances")
         return EXIT_USAGE
-    reports = ratio_scan(pairs, _budget(args))
+    reports = ratio_scan(pairs, budget)
     lo = hi = None
     for rep in reports:
         if rep.status == "verified":
@@ -254,7 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, help="'trees' or a spec with N, e.g. subdivided_star:N")
     p.add_argument("--min-n", type=int, default=2)
     p.add_argument("--max-n", type=int, default=3)
-    p.add_argument("--ratio", choices=("pr-product",), default="pr-product")
     p.add_argument("--exact-budget", type=int, help="search node budget")
     p.add_argument("--json", help="write the per-pair reports to this path")
     p.set_defaults(func=cmd_scan)
@@ -264,6 +272,3 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     return args.func(args)
-
-
-_CLAIM_IDS = SUITE_ORDER  # re-exported for documentation tooling

@@ -15,14 +15,14 @@ import random
 import re
 from dataclasses import dataclass
 
-from .graphs import DomainError, Graph, ResourceError
-from .products import PRODUCT_CAP, cartesian_product, multiway_direct_complete
+from .graphs import ORDER_CAP, DomainError, Graph, ResourceError
+from .products import cartesian_product, multiway_direct_complete
 
 
 def _guard_order(family: str, n: int):
     # one desk-scale ceiling for the whole lab, shared with product materialization
-    if n > PRODUCT_CAP:
-        raise ResourceError(f"{family}: order {n} exceeds the {PRODUCT_CAP}-vertex cap")
+    if n > ORDER_CAP:
+        raise ResourceError(f"{family}: order {n} exceeds the {ORDER_CAP}-vertex cap")
 
 
 def complete(n: int) -> Graph:
@@ -112,7 +112,7 @@ def rook2xn(n: int) -> Graph:
     return Graph.from_rows(g.adj, f"rook2xn:{n}")
 
 
-def cayleypop(factor_orders, ell: int, cap: int = PRODUCT_CAP) -> Graph:
+def cayleypop(factor_orders, ell: int, cap: int = ORDER_CAP) -> Graph:
     """Lollipop over a complete-graph product with pairwise distinct factor orders,
     anchored at the all-zero tuple."""
     orders = list(factor_orders)

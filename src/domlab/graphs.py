@@ -7,7 +7,7 @@ homed on different graphs cannot be mixed by accident.
 
 from __future__ import annotations
 
-from math import inf as INF
+ORDER_CAP = 20000  # one desk-scale ceiling: constructed, materialized and read graphs
 
 
 class DomainError(ValueError):
@@ -20,6 +20,13 @@ class ResourceError(RuntimeError):
 
 class FormatError(ValueError):
     """Malformed graph text."""
+
+
+def ensure(ok, message: str) -> None:
+    """Raises AssertionError(message) unless ok; unlike assert it also runs
+    under python -O, so certificate re-checks never vanish."""
+    if not ok:
+        raise AssertionError(message)
 
 
 def bit_indices(bits: int) -> list[int]:
@@ -97,12 +104,12 @@ class Graph:
 
     def check_valid(self):
         """Structural invariants; for tests, not hot paths."""
-        assert len(self.adj) == self.n
+        ensure(len(self.adj) == self.n, "row count differs from order")
         for v, row in enumerate(self.adj):
-            assert row >> self.n == 0, "bit beyond order"
-            assert not row >> v & 1, "loop"
+            ensure(row >> self.n == 0, "bit beyond order")
+            ensure(not row >> v & 1, "loop")
             for u in bit_indices(row):
-                assert self.adj[u] >> v & 1, "asymmetric adjacency"
+                ensure(self.adj[u] >> v & 1, "asymmetric adjacency")
 
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
@@ -195,60 +202,6 @@ def open_cover_bits(g: Graph, bits: int) -> int:
     return cover
 
 
-def closed_neighborhood(g: Graph, v: int) -> VertexSet:
-    """N[v]."""
-    if not 0 <= v < g.n:
-        raise IndexError(f"vertex {v} out of range")
-    return VertexSet(g, g.closed(v))
-
-
-def closed_neighborhood_set(g: Graph, s: VertexSet) -> VertexSet:
-    """N[S]; empty for empty S."""
-    return VertexSet(g, closed_cover_bits(g, homed_bits(g, s)))
-
-
-def open_neighborhood_set(g: Graph, s: VertexSet) -> VertexSet:
-    """N(S), the union of open neighborhoods."""
-    return VertexSet(g, open_cover_bits(g, homed_bits(g, s)))
-
-
-def _bfs_dist_row(g: Graph, src: int) -> list:
-    row = [INF] * g.n
-    row[src] = 0
-    seen = frontier = 1 << src
-    d = 0
-    while frontier:
-        nxt = 0
-        for v in bit_indices(frontier):
-            nxt |= g.adj[v]
-        nxt &= ~seen
-        d += 1
-        for v in bit_indices(nxt):
-            row[v] = d
-        seen |= nxt
-        frontier = nxt
-    return row
-
-
-def distance_matrix(g: Graph) -> list:
-    """Hop distances; disconnected pairs get the float infinity marker."""
-    return [_bfs_dist_row(g, v) for v in range(g.n)]
-
-
-def diameter(g: Graph):
-    """Largest pairwise distance; INF when disconnected, 0 for order <= 1."""
-    if g.n == 0:
-        return 0
-    best = 0
-    for v in range(g.n):
-        worst = max(_bfs_dist_row(g, v))
-        if worst == INF:
-            return INF
-        if worst > best:
-            best = worst
-    return best
-
-
 def ball_bits(g: Graph, src: int, k: int) -> int:
     """Vertices within distance <= k of src, including src."""
     seen = frontier = 1 << src
@@ -290,11 +243,6 @@ def connected_components(g: Graph) -> list[int]:
     return comps
 
 
-def is_connected(g: Graph) -> bool:
-    """Empty graph counts as connected."""
-    return g.n == 0 or len(connected_components(g)) == 1
-
-
 def has_isolated_vertex(g: Graph) -> bool:
     return any(row == 0 for row in g.adj)
 
@@ -324,8 +272,23 @@ def write_graph_text(g: Graph, comment: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_pair(line: str, what: str):
+    """The two integers of a data line that must read exactly 'a b'."""
+    parts = line.split(" ")
+    if len(parts) != 2:
+        raise FormatError(f"{what} must be two integers: {line!r}")
+    try:
+        a, b = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise FormatError(f"non-integer {what}: {line!r}") from None
+    if line != f"{a} {b}":
+        raise FormatError(f"non-canonical {what}: {line!r}")
+    return a, b
+
+
 def read_graph_text(text: str) -> Graph:
-    """Strict reader for the canonical text form; any violation raises FormatError."""
+    """Strict reader for the canonical text form; any violation raises
+    FormatError, and an order above ORDER_CAP raises ResourceError."""
     data = []
     for raw in text.splitlines():
         if raw.startswith("#"):
@@ -335,27 +298,17 @@ def read_graph_text(text: str) -> Graph:
         data.append(raw)
     if not data:
         raise FormatError("missing 'n m' header line")
-    head = data[0].split()
-    if len(head) != 2:
-        raise FormatError("header must be 'n m'")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise FormatError("non-integer header") from None
+    n, m = _read_pair(data[0], "header")
     if n < 0 or m < 0:
         raise FormatError("negative header value")
+    if n > ORDER_CAP:
+        raise ResourceError(f"graph text order {n} exceeds the {ORDER_CAP}-vertex cap")
     if len(data) - 1 != m:
         raise FormatError(f"expected {m} edge lines, found {len(data) - 1}")
     edges = []
     prev = None
     for line in data[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"bad edge line: {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError(f"non-integer edge line: {line!r}") from None
+        u, v = _read_pair(line, "edge line")
         if not 0 <= u < v < n:
             raise FormatError(f"edge ({u},{v}) violates 0 <= u < v < n")
         if prev is not None and (u, v) <= prev:

@@ -10,7 +10,7 @@ this oracle.
 
 from __future__ import annotations
 
-from .graphs import Graph, ResourceError, bit_indices, connected_components
+from .graphs import Graph, ResourceError, bit_indices, connected_components, ensure
 
 MATCHING_CAP = 30
 
@@ -65,7 +65,7 @@ def has_perfect_matching(g: Graph):
 def _assert_matching(g: Graph, pairs):
     seen = 0
     for u, v in pairs:
-        assert g.adj[u] >> v & 1, "matched pair is not an edge"
-        assert not seen >> u & 1 and not seen >> v & 1, "vertex matched twice"
+        ensure(g.adj[u] >> v & 1, "matched pair is not an edge")
+        ensure(not seen >> u & 1 and not seen >> v & 1, "vertex matched twice")
         seen |= (1 << u) | (1 << v)
-    assert seen == g.full_bits(), "matching does not cover all vertices"
+    ensure(seen == g.full_bits(), "matching does not cover all vertices")

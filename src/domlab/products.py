@@ -5,9 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import DomainError, Graph, ResourceError, VertexSet, bit_indices
-
-PRODUCT_CAP = 20000
+from .graphs import ORDER_CAP, DomainError, Graph, ResourceError, bit_indices
 
 
 @dataclass(frozen=True)
@@ -46,7 +44,7 @@ def _pair_label(tag: str, g: Graph, h: Graph) -> str:
     return ""
 
 
-def direct_product(g: Graph, h: Graph, cap: int = PRODUCT_CAP):
+def direct_product(g: Graph, h: Graph, cap: int = ORDER_CAP):
     """(a,b) ~ (a2,b2) iff a ~ a2 and b ~ b2; returns (graph, index map)."""
     _cap_check(g.n * h.n, cap, "direct product")
     nh = h.n
@@ -62,7 +60,7 @@ def direct_product(g: Graph, h: Graph, cap: int = PRODUCT_CAP):
     return Graph.from_rows(rows, _pair_label("direct", g, h)), ProductIndexMap(g.n, nh)
 
 
-def cartesian_product(g: Graph, h: Graph, cap: int = PRODUCT_CAP):
+def cartesian_product(g: Graph, h: Graph, cap: int = ORDER_CAP):
     """(a,b) ~ (a2,b2) iff coordinates agree on one side and are adjacent on the other."""
     _cap_check(g.n * h.n, cap, "cartesian product")
     nh = h.n
@@ -82,7 +80,7 @@ def _complete_rows(n: int) -> Graph:
     return Graph.from_rows([full ^ (1 << v) for v in range(n)])
 
 
-def multiway_direct_complete(orders, cap: int = PRODUCT_CAP) -> Graph:
+def multiway_direct_complete(orders, cap: int = ORDER_CAP) -> Graph:
     """Direct product of complete graphs; tuples map to mixed-radix row-major indices,
     and two vertices are adjacent iff they differ in every coordinate."""
     orders = list(orders)
@@ -184,35 +182,3 @@ def product_pairing_is_valid(g: Graph, h: Graph, members, pairing) -> bool:
         seen.add(p)
         seen.add(q)
     return seen == set(map(tuple, members))
-
-
-def rook_product_partition(n: int, d: VertexSet):
-    """Split a set on the materialized square of the 2xn rook graph by the pair of
-    row blocks. Labeling is ((a*n+b)*2n + c*n+d) for ((a,b),(c,d)); returns the
-    four parts for (a,c) = (0,0), (0,1), (1,0), (1,1)."""
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    if d.home.n != 4 * n * n:
-        raise DomainError("set is not homed on the order-4n^2 rook product")
-    blocks = [0, 0, 0, 0]
-    two_n = 2 * n
-    for idx in d.members():
-        left, right = divmod(idx, two_n)
-        blocks[(left // n) * 2 + (right // n)] |= 1 << idx
-    return tuple(VertexSet(d.home, bits) for bits in blocks)
-
-
-def rook_axis_class(gp: Graph, n: int, i: int, j: int) -> VertexSet:
-    """All product vertices whose factors sit in row block i (left) and j (right);
-    each class has n^2 members."""
-    if gp.n != 4 * n * n:
-        raise DomainError("graph is not an order-4n^2 rook product")
-    if not (0 <= i < 2 and 0 <= j < 2):
-        raise DomainError("row blocks are 0 or 1")
-    bits = 0
-    two_n = 2 * n
-    for b in range(n):
-        base = (i * n + b) * two_n + j * n
-        for c in range(n):
-            bits |= 1 << (base + c)
-    return VertexSet(gp, bits)

@@ -6,8 +6,21 @@ Parameters use their standard tags: gamma (domination), gamma_t (total),
 gamma_pr (paired), upper_gamma (largest minimal dominating set), rho_k
 (distance-k packing), alpha (independence, the k=1 packing).
 
-Minimum-side solvers run iterative deepening on the target size with
-branch-and-bound; maximum-side solvers run include/exclude branch-and-bound.
+Every solver runs through one driver, _solve: split the graph into connected
+components, solve each with a budget shared across them, merge the parts
+into one certificate, and re-check its witness with the matching predicate
+(an explicit check that also runs under python -O).
+
+The minimum side is one deepening cover search over elements with pairwise
+disjointness: vertices with closed covers for gamma and open covers for
+gamma_t, edges covering both closed neighborhoods for gamma_pr. A greedy
+gives the upper end, a counting bound the lower end, and the search tries
+each size in between, branching on the uncovered vertex with the fewest
+coverers. upper_gamma runs include/exclude branch-and-bound, and rho_k and
+alpha a maximum independent set search. One all-subsets scan for minimal
+covers backs both the upper_gamma oracle and the minimal total dominating
+sizes.
+
 All tie-breaks pick the lowest vertex or edge index, so witnesses are
 deterministic. Every solver takes an explicit budget; exceeding it yields an
 interval certificate whose witness stays valid for its own bound, never a
@@ -32,6 +45,7 @@ from .graphs import (
     closed_cover_bits,
     connected_components,
     distance_power_conflict_graph,
+    ensure,
     has_isolated_vertex,
     homed_bits,
     induced_subgraph,
@@ -45,6 +59,7 @@ from .products import (
 )
 
 DEFAULT_NODE_BUDGET = 2_000_000
+UPPER_SCAN_CAP = 20  # order cap of the all-subsets upper_gamma scan
 
 
 @dataclass(frozen=True)
@@ -181,7 +196,7 @@ def is_k_packing(g: Graph, s: VertexSet, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# shared solver plumbing
+# shared solver plumbing: split into components, solve each, merge, re-check
 
 
 @dataclass
@@ -200,74 +215,90 @@ def _translate_bits(bits: int, back: dict) -> int:
     return out
 
 
-def _translate_pairs(pairs, back):
-    out = [tuple(sorted((back[a], back[b]))) for a, b in pairs]
-    return tuple(sorted(out))
-
-
-def _component_graphs(g: Graph):
-    for comp in connected_components(g):
-        sub, remap = induced_subgraph(g, VertexSet(g, comp))
-        yield sub, {new: old for old, new in remap.items()}
-
-
-def _merge_parts(g, parameter, parts_with_back, tracker, k=None):
-    lo = hi = 0
-    bits = 0
-    pairing = []
+def _solve(g, parameter, solve_part, check, budget=None, split=None, k=None) -> Certificate:
+    """Runs solve_part(component, tracker) on each connected component of
+    `split` (default g, which has the same vertices), merges the parts into
+    one certificate on g and re-checks it with check(certificate)."""
+    tracker = _Tracker(budget or Budget())
+    split = g if split is None else split
+    lo = hi = bits = 0
     exact = True
-    for part, back in parts_with_back:
+    pairing = []
+    for comp in connected_components(split):
+        sub, remap = induced_subgraph(split, VertexSet(split, comp))
+        back = {new: old for old, new in remap.items()}
+        part = solve_part(sub, tracker)
         lo += part.lo
         hi += part.hi
         exact &= part.exact
         bits |= _translate_bits(part.bits, back)
-        pairing.extend(_translate_pairs(part.pairs, back))
-    return Certificate(
-        parameter,
-        lo,
-        hi,
-        exact,
-        VertexSet(g, bits),
-        tuple(sorted(pairing)),
-        k,
-        tracker.nodes,
+        pairing.extend(tuple(sorted((back[a], back[b]))) for a, b in part.pairs)
+    cert = Certificate(
+        parameter, lo, hi, exact, VertexSet(g, bits), tuple(sorted(pairing)), k, tracker.nodes
     )
+    ensure(check(cert), f"{parameter} certificate fails its re-check")
+    return cert
 
 
 # ---------------------------------------------------------------------------
-# minimum-side: gamma and gamma_t
+# minimum side: one deepening cover search over elements
+#
+# An element is a vertex (gamma: its closed neighborhood, gamma_t: its open
+# one) or an edge (gamma_pr: both closed neighborhoods). ends[i] lists the
+# vertices element i puts into the set, and picked elements may not share
+# one. For vertices that never binds: a vertex that could cover an uncovered
+# vertex again is not yet picked, since covers are symmetric.
 
 
-def _greedy_cover_bits(cover, full: int) -> int:
-    covered = 0
-    chosen = 0
+def _vertex_elements(gc: Graph, open_nbh: bool):
+    cov = list(gc.adj) if open_nbh else [gc.closed(v) for v in range(gc.n)]
+    return cov, [(v,) for v in range(gc.n)]
+
+
+def _edge_elements(gc: Graph):
+    edges = list(gc.edges())
+    return [gc.closed(u) | gc.closed(v) for u, v in edges], edges
+
+
+def _greedy(cov, ends, full: int):
+    """Indices of disjoint elements picked by largest gain, lowest index on
+    ties, until full is covered; None when disjointness blocks every gain."""
+    covered = used = 0
+    picks = []
     while covered != full:
-        best_v = -1
+        unc = full & ~covered
+        best_i = -1
         best_gain = 0
-        for v in range(len(cover)):
-            gain = (cover[v] & ~covered).bit_count()
-            if gain > best_gain:
+        for i, c in enumerate(cov):
+            gain = (c & unc).bit_count()
+            if gain > best_gain and not used & bits_of(ends[i]):
                 best_gain = gain
-                best_v = v
-        covered |= cover[best_v]
-        chosen |= 1 << best_v
-    return chosen
+                best_i = i
+        if best_i < 0:
+            return None
+        covered |= cov[best_i]
+        used |= bits_of(ends[best_i])
+        picks.append(best_i)
+    return picks
 
 
-def _cover_search(cover, ccount, full, size, maxcov, tracker):
-    """Witness bits for an exact-size cover, or None; branches on the uncovered
-    vertex with the fewest dominators."""
-    min_c = min(ccount)
+def _cover_search(cov, dis, coverers, full, size, maxcov, tracker):
+    """Indices of `size` disjoint elements covering full, or None. Branches on
+    the uncovered vertex with the fewest coverers, trying them in index order,
+    and prunes when the picks left cannot cover what is uncovered."""
+    counts = [len(c) for c in coverers]
+    min_c = min(counts)
+    chosen = []
 
-    def rec(covered, chosen, depth):
+    def rec(covered, used, depth):
         tracker.tick()
         if covered == full:
-            return chosen
+            return True
         if depth == size:
-            return None
+            return False
         unc = full & ~covered
         if (size - depth) * maxcov < unc.bit_count():
-            return None
+            return False
         best_v = -1
         best_c = 1 << 30
         scan = unc
@@ -275,181 +306,102 @@ def _cover_search(cover, ccount, full, size, maxcov, tracker):
             low = scan & -scan
             v = low.bit_length() - 1
             scan ^= low
-            if ccount[v] < best_c:
-                best_c = ccount[v]
+            if counts[v] < best_c:
+                best_c = counts[v]
                 best_v = v
                 if best_c <= min_c:
                     break
-        for cand in bit_indices(cover[best_v]):
-            res = rec(covered | cover[cand], chosen | 1 << cand, depth + 1)
-            if res is not None:
-                return res
-        return None
+        for i in coverers[best_v]:
+            d = dis[i]
+            if used & d:
+                continue
+            chosen.append(i)
+            if rec(covered | cov[i], used | d, depth + 1):
+                return True
+            chosen.pop()
+        return False
 
-    return rec(0, 0, 0)
+    return tuple(chosen) if rec(0, 0, 0) else None
 
 
-def _min_cover_component(gc: Graph, open_nbh: bool, tracker) -> _Part:
+def _cover_part(lo, hi, picked, exact) -> _Part:
+    """Part from the picked elements' ends; picked edges are its pairing."""
+    bits = 0
+    for ends in picked:
+        bits |= bits_of(ends)
+    return _Part(lo, hi, bits, exact, tuple(e for e in picked if len(e) == 2))
+
+
+def _min_cover(gc: Graph, cov, ends, tracker) -> _Part:
+    """Fewest disjoint elements covering gc: deepening on the element count
+    from the counting bound up to the greedy's count; sizes in vertices."""
     n = gc.n
     full = gc.full_bits()
-    if open_nbh:
-        cover = list(gc.adj)
+    picks = _greedy(cov, ends, full)
+    if picks is None:
+        # disjoint edges blocked the greedy; pair up a greedy dominating set
+        base = _greedy(*_vertex_elements(gc, False), full)
+        _, picked = pair_up_dominating(gc, VertexSet(gc, bits_of(base)))
     else:
-        cover = [gc.closed(v) for v in range(n)]
-    ccount = [c.bit_count() for c in cover]
-    maxcov = max(ccount)
-    greedy_bits = _greedy_cover_bits(cover, full)
-    greedy = greedy_bits.bit_count()
+        picked = [ends[i] for i in picks]
+    w = len(ends[0])
+    top = len(picked)
+    maxcov = max(c.bit_count() for c in cov)
     lb = max(1, -(-n // maxcov))
-    if lb >= greedy:
-        return _Part(greedy, greedy, greedy_bits, True)
-    for k in range(lb, greedy):
-        try:
-            found = _cover_search(cover, ccount, full, k, maxcov, tracker)
-        except _BudgetExceeded:
-            return _Part(k, greedy, greedy_bits, False)
-        if found is not None:
-            return _Part(k, k, found, True)
-    return _Part(greedy, greedy, greedy_bits, True)
-
-
-def _min_side(g: Graph, parameter: str, open_nbh: bool, budget) -> Certificate:
-    tracker = _Tracker(budget or Budget())
-    parts = [
-        (_min_cover_component(sub, open_nbh, tracker), back)
-        for sub, back in _component_graphs(g)
-    ]
-    return _merge_parts(g, parameter, parts, tracker)
+    if lb < top:
+        # built only now: for edges these outweigh the graph many times over
+        dis = [bits_of(e) for e in ends]
+        coverers = [[] for _ in range(n)]
+        for i, c in enumerate(cov):
+            for v in bit_indices(c):
+                coverers[v].append(i)
+        for size in range(lb, top):
+            try:
+                found = _cover_search(cov, dis, coverers, full, size, maxcov, tracker)
+            except _BudgetExceeded:
+                return _cover_part(w * size, w * top, picked, False)
+            if found is not None:
+                return _cover_part(w * size, w * size, [ends[i] for i in found], True)
+    return _cover_part(w * top, w * top, picked, True)
 
 
 def domination_number(g: Graph, budget: Budget | None = None) -> Certificate:
     """gamma: smallest dominating set."""
-    cert = _min_side(g, "gamma", False, budget)
-    assert is_dominating(g, cert.witness) or g.n == 0
-    return cert
+    return _solve(
+        g, "gamma",
+        lambda gc, tracker: _min_cover(gc, *_vertex_elements(gc, False), tracker),
+        lambda cert: is_dominating(g, cert.witness),
+        budget,
+    )
 
 
 def total_domination_number(g: Graph, budget: Budget | None = None) -> Certificate:
     """gamma_t: smallest set whose open neighborhoods cover everything."""
     if has_isolated_vertex(g):
         raise DomainError("total domination undefined with isolated vertices")
-    cert = _min_side(g, "gamma_t", True, budget)
-    assert is_total_dominating(g, cert.witness) or g.n == 0
-    return cert
-
-
-# ---------------------------------------------------------------------------
-# minimum-side: gamma_pr (search over disjoint dominating edges)
-
-
-def _greedy_pairs(gc: Graph, edges, ecov):
-    full = gc.full_bits()
-    covered = used = 0
-    picks = []
-    while covered != full:
-        best_i = -1
-        best_gain = 0
-        for ei, (u, v) in enumerate(edges):
-            if used >> u & 1 or used >> v & 1:
-                continue
-            gain = (ecov[ei] & ~covered).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_i = ei
-        if best_i < 0:
-            # disjointness blocked the greedy; fall back to doubling a dominating set
-            base = _greedy_cover_bits([gc.closed(v) for v in range(gc.n)], full)
-            vs, pairing = pair_up_dominating(gc, VertexSet(gc, base))
-            return vs.bits, pairing
-        u, v = edges[best_i]
-        used |= (1 << u) | (1 << v)
-        covered |= ecov[best_i]
-        picks.append((u, v))
-    return used, tuple(picks)
-
-
-def _paired_component(gc: Graph, tracker) -> _Part:
-    n = gc.n
-    full = gc.full_bits()
-    edges = list(gc.edges())
-    ecov = [gc.closed(u) | gc.closed(v) for u, v in edges]
-    maxcov = max(c.bit_count() for c in ecov)
-    gbits, gpairs = _greedy_pairs(gc, edges, ecov)
-    gp = len(gpairs)
-    lbp = max(1, -(-n // maxcov))
-    if lbp >= gp:
-        return _Part(2 * gp, 2 * gp, gbits, True, gpairs)
-    etouch = [[] for _ in range(n)]
-    for ei, cov in enumerate(ecov):
-        for w in bit_indices(cov):
-            etouch[w].append(ei)
-    scount = [len(t) for t in etouch]
-
-    def search(p):
-        chosen = []
-
-        def rec(covered, used, depth):
-            tracker.tick()
-            if covered == full:
-                return True
-            if depth == p:
-                return False
-            unc = full & ~covered
-            if (p - depth) * maxcov < unc.bit_count():
-                return False
-            best_v = -1
-            best_c = 1 << 30
-            scan = unc
-            while scan:
-                low = scan & -scan
-                v = low.bit_length() - 1
-                scan ^= low
-                if scount[v] < best_c:
-                    best_c = scount[v]
-                    best_v = v
-            for ei in etouch[best_v]:
-                u, v = edges[ei]
-                if used >> u & 1 or used >> v & 1:
-                    continue
-                chosen.append(ei)
-                if rec(covered | ecov[ei], used | (1 << u) | (1 << v), depth + 1):
-                    return True
-                chosen.pop()
-            return False
-
-        if rec(0, 0, 0):
-            return tuple(edges[ei] for ei in chosen)
-        return None
-
-    for p in range(lbp, gp):
-        try:
-            found = search(p)
-        except _BudgetExceeded:
-            return _Part(2 * p, 2 * gp, gbits, False, gpairs)
-        if found is not None:
-            sbits = 0
-            for u, v in found:
-                sbits |= (1 << u) | (1 << v)
-            return _Part(2 * p, 2 * p, sbits, True, found)
-    return _Part(2 * gp, 2 * gp, gbits, True, gpairs)
+    return _solve(
+        g, "gamma_t",
+        lambda gc, tracker: _min_cover(gc, *_vertex_elements(gc, True), tracker),
+        lambda cert: is_total_dominating(g, cert.witness),
+        budget,
+    )
 
 
 def paired_domination_number(g: Graph, budget: Budget | None = None) -> Certificate:
     """gamma_pr: smallest dominating set induced by vertex-disjoint edges.
 
     Deepening is over the pair count, so only even sizes are visited and the
-    witness pairing is the search's own edge choice; the matching definition is
-    re-checked on the result."""
+    witness pairing is the search's own edge choice; the pairing and the
+    domination are re-checked on the result."""
     if has_isolated_vertex(g):
         raise DomainError("paired domination undefined with isolated vertices")
-    tracker = _Tracker(budget or Budget())
-    parts = [
-        (_paired_component(sub, tracker), back) for sub, back in _component_graphs(g)
-    ]
-    cert = _merge_parts(g, "gamma_pr", parts, tracker)
-    assert pairing_is_valid(g, cert.witness, cert.pairing)
-    assert is_dominating(g, cert.witness) or g.n == 0
-    return cert
+    return _solve(
+        g, "gamma_pr",
+        lambda gc, tracker: _min_cover(gc, *_edge_elements(gc), tracker),
+        lambda cert: pairing_is_valid(g, cert.witness, cert.pairing)
+        and is_dominating(g, cert.witness),
+        budget,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -468,43 +420,18 @@ def _minimalize_bits(gc: Graph, bits: int) -> int:
             return bits
 
 
-def _upper_exhaustive_graph(gc: Graph):
-    """Largest minimal dominating set by scanning all subsets; order <= 20."""
-    if gc.n > 20:
-        raise ResourceError("exhaustive minimal-dominating scan capped at order 20")
-    n = gc.n
-    full = gc.full_bits()
-    closed = [gc.closed(v) for v in range(n)]
-    best_size = -1
-    best_bits = 0
-    for mask in range(1 << n):
-        if mask.bit_count() <= best_size:
-            continue
-        cover = 0
-        for v in bit_indices(mask):
-            cover |= closed[v]
-        if cover != full:
-            continue
-        minimal = True
-        for v in bit_indices(mask):
-            rest = mask & ~(1 << v)
-            rcov = 0
-            for u in bit_indices(rest):
-                rcov |= closed[u]
-            if rcov == full:
-                minimal = False
-                break
-        if minimal:
-            best_size = mask.bit_count()
-            best_bits = mask
-    return best_size, best_bits
+def _upper_exhaustive(gc: Graph) -> _Part:
+    """Largest minimal dominating set of gc by the all-subsets scan."""
+    found = _minimal_covers(_vertex_elements(gc, False)[0], gc.full_bits())
+    size = max(found)
+    return _Part(size, size, found[size], True)
 
 
 def _upper_component(gc: Graph, tracker) -> _Part:
     n = gc.n
     full = gc.full_bits()
-    closed = [gc.closed(v) for v in range(n)]
-    inc_bits = _minimalize_bits(gc, _greedy_cover_bits(closed, full))
+    closed, ends = _vertex_elements(gc, False)
+    inc_bits = _minimalize_bits(gc, bits_of(_greedy(closed, ends, full)))
     best = [inc_bits.bit_count(), inc_bits]
     domcnt = [0] * n
 
@@ -552,36 +479,34 @@ def _upper_component(gc: Graph, tracker) -> _Part:
         rec(0, 0, 0)
         return _Part(best[0], best[0], best[1], True)
     except _BudgetExceeded:
-        if n <= 20:
-            size, bits = _upper_exhaustive_graph(gc)
-            return _Part(size, size, bits, True)
+        if n <= UPPER_SCAN_CAP:
+            return _upper_exhaustive(gc)
         return _Part(best[0], n, best[1], False)
 
 
 def upper_domination_number(g: Graph, budget: Budget | None = None) -> Certificate:
     """upper_gamma: largest minimal dominating set (branch and bound on
     include/exclude decisions, private-neighbor obligations pruned eagerly)."""
-    tracker = _Tracker(budget or Budget())
-    parts = [(_upper_component(sub, tracker), back) for sub, back in _component_graphs(g)]
-    cert = _merge_parts(g, "upper_gamma", parts, tracker)
-    assert is_minimal_dominating(g, cert.witness) or g.n == 0
-    return cert
+    return _solve(
+        g, "upper_gamma", _upper_component,
+        lambda cert: is_minimal_dominating(g, cert.witness),
+        budget,
+    )
 
 
 def upper_domination_exhaustive(g: Graph):
     """Independent all-subsets oracle for upper_gamma, order <= 20 overall;
     returns (value, witness)."""
-    total = 0
-    bits = 0
-    if g.n > 20:
-        raise ResourceError("exhaustive minimal-dominating scan capped at order 20")
-    for sub, back in _component_graphs(g):
-        size, sub_bits = _upper_exhaustive_graph(sub)
-        total += size
-        bits |= _translate_bits(sub_bits, back)
-    witness = VertexSet(g, bits)
-    assert is_minimal_dominating(g, witness) or g.n == 0
-    return total, witness
+    if g.n > UPPER_SCAN_CAP:
+        raise ResourceError(
+            f"exhaustive minimal-dominating scan capped at order {UPPER_SCAN_CAP}"
+        )
+    cert = _solve(
+        g, "upper_gamma",
+        lambda gc, _: _upper_exhaustive(gc),
+        lambda cert: is_minimal_dominating(g, cert.witness),
+    )
+    return cert.lo, cert.witness
 
 
 # ---------------------------------------------------------------------------
@@ -641,36 +566,22 @@ def _mis_component(gc: Graph, tracker) -> _Part:
         return _Part(best[0], n, best[1], False)
 
 
-def _mis(g: Graph, conflict: Graph, parameter: str, budget, k) -> Certificate:
-    tracker = _Tracker(budget or Budget())
-    parts = [
-        (_mis_component(sub, tracker), back) for sub, back in _component_graphs(conflict)
-    ]
-    lo = hi = 0
-    bits = 0
-    exact = True
-    for part, back in parts:
-        lo += part.lo
-        hi += part.hi
-        exact &= part.exact
-        bits |= _translate_bits(part.bits, back)
-    return Certificate(parameter, lo, hi, exact, VertexSet(g, bits), (), k, tracker.nodes)
-
-
 def packing_number(g: Graph, k: int, budget: Budget | None = None) -> Certificate:
     """rho_k: largest set with pairwise distance greater than k (maximum
     independent set of the distance-power conflict graph)."""
     conflict = distance_power_conflict_graph(g, k)
-    cert = _mis(g, conflict, "rho_k", budget, k)
-    assert is_k_packing(g, cert.witness, k) or g.n == 0
-    return cert
+    return _solve(
+        g, "rho_k", _mis_component,
+        lambda cert: is_k_packing(g, cert.witness, k),
+        budget, conflict, k,
+    )
 
 
 def independence_number(g: Graph, budget: Budget | None = None) -> Certificate:
     """alpha = rho_1."""
-    cert = _mis(g, g, "alpha", budget, None)
-    assert is_k_packing(g, cert.witness, 1) or g.n == 0
-    return cert
+    return _solve(
+        g, "alpha", _mis_component, lambda cert: is_k_packing(g, cert.witness, 1), budget
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -717,9 +628,11 @@ def pair_up_dominating(g: Graph, s: VertexSet):
             sbits &= ~(1 << u)
     result = VertexSet(g, sbits)
     pairing = tuple(sorted(pairs))
-    assert len(result) <= 2 * start
-    assert is_dominating(g, result)
-    assert pairing_is_valid(g, result, pairing)
+    ensure(len(result) <= 2 * start, "pairing up more than doubled the set")
+    ensure(
+        is_dominating(g, result) and pairing_is_valid(g, result, pairing),
+        "paired-up set is not paired dominating",
+    )
     return result, pairing
 
 
@@ -756,8 +669,10 @@ def diagonal_paired_dominating(orders):
         pairing.append((min(diag[t], extra), max(diag[t], extra)))
     vs = VertexSet(g, bits_of(members))
     pairing = tuple(sorted(pairing))
-    assert is_dominating(g, vs)
-    assert pairing_is_valid(g, vs, pairing)
+    ensure(
+        is_dominating(g, vs) and pairing_is_valid(g, vs, pairing),
+        "diagonal witness is not paired dominating",
+    )
     return g, vs, pairing
 
 
@@ -800,8 +715,10 @@ def appended_path_paired_witness(orders, ell: int):
         return (g,) + pair_up_dominating(g, seed)
     vs = VertexSet(g, bits_of(members))
     pairing = tuple(sorted(pairing))
-    assert is_dominating(g, vs)
-    assert pairing_is_valid(g, vs, pairing)
+    ensure(
+        is_dominating(g, vs) and pairing_is_valid(g, vs, pairing),
+        "appended-path witness is not paired dominating",
+    )
     return g, vs, pairing
 
 
@@ -828,12 +745,46 @@ def pendant_product_dominating(g, h, v, base_members, base_pairing, side, side_p
         raise DomainError("pendant-side witness is not paired dominating")
     g_prime = lollipop(g, 1, v)
     out = sorted(set(members) | {(v, b) for b in bit_indices(side_bits)})
-    assert implicit_direct_domination_check(g_prime, h, out)
+    ensure(
+        implicit_direct_domination_check(g_prime, h, out),
+        "pendant product set does not dominate",
+    )
     return g_prime, tuple(out)
 
 
 # ---------------------------------------------------------------------------
 # exhaustive structure scans
+
+
+def _minimal_covers(cover, full: int) -> dict:
+    """{size: lowest mask} over the inclusion-minimal vertex masks whose covers
+    union to full, scanning all 2^n masks in order and skipping sizes already
+    recorded. A member is redundant when everything it covers is covered
+    twice."""
+    found = {}
+    for mask in range(1 << len(cover)):
+        size = mask.bit_count()
+        if size in found:
+            continue
+        once = twice = 0
+        scan = mask
+        while scan:
+            low = scan & -scan
+            c = cover[low.bit_length() - 1]
+            twice |= once & c
+            once |= c
+            scan ^= low
+        if once != full:
+            continue
+        scan = mask
+        while scan:
+            low = scan & -scan
+            if not cover[low.bit_length() - 1] & ~twice:
+                break
+            scan ^= low
+        else:
+            found[size] = mask
+    return found
 
 
 def minimal_total_dominating_sizes(g: Graph) -> set:
@@ -843,30 +794,4 @@ def minimal_total_dominating_sizes(g: Graph) -> set:
         raise ResourceError("exhaustive total-dominating scan capped at order 16")
     if has_isolated_vertex(g):
         raise DomainError("total domination undefined with isolated vertices")
-    n = g.n
-    full = g.full_bits()
-    adj = g.adj
-
-    def open_cover(mask):
-        cov = 0
-        while mask:
-            low = mask & -mask
-            cov |= adj[low.bit_length() - 1]
-            mask ^= low
-        return cov
-
-    sizes = set()
-    for mask in range(1 << n):
-        if open_cover(mask) != full:
-            continue
-        minimal = True
-        scan = mask
-        while scan:
-            low = scan & -scan
-            scan ^= low
-            if open_cover(mask ^ low) == full:
-                minimal = False
-                break
-        if minimal:
-            sizes.add(mask.bit_count())
-    return sizes
+    return set(_minimal_covers(g.adj, g.full_bits()))

@@ -41,6 +41,15 @@ def _dist(g, src):
     return d
 
 
+def distances(g):
+    """Hop-distance matrix; -1 marks a pair in different components."""
+    return [_dist(g, v) for v in range(g.n)]
+
+
+def is_connected(g):
+    return g.n == 0 or min(_dist(g, 0)) >= 0
+
+
 def _subset_has_pm(g, mask):
     if mask == 0:
         return True
@@ -112,7 +121,7 @@ def brute_upper_gamma(g):
 
 
 def brute_rho_k(g, k):
-    dist = [_dist(g, v) for v in range(g.n)]
+    dist = distances(g)
     best = 0
     for mask in range(1 << g.n):
         members = [v for v in range(g.n) if mask >> v & 1]

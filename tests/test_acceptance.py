@@ -23,9 +23,9 @@ from oracles import (
 )
 
 from domlab.cli import main as cli_main
-from domlab.graphs import Graph, VertexSet, has_isolated_vertex
+from domlab.graphs import Graph, VertexSet, bits_of, has_isolated_vertex
 from domlab.families import complete, pendant_pairs, random_graph, rook2xn
-from domlab.products import direct_product, multiway_direct_complete, rook_axis_class
+from domlab.products import direct_product, multiway_direct_complete
 from domlab.solvers import (
     diagonal_paired_dominating,
     domination_number,
@@ -141,8 +141,8 @@ def test_criterion_07_rook_product_lower_bound():
     t0 = time.monotonic()
     ok = True
     for n in range(2, 11):
-        gp, _ = direct_product(rook2xn(n), rook2xn(n))
-        corner = rook_axis_class(gp, n, 0, 0)
+        gp, imap = direct_product(rook2xn(n), rook2xn(n))
+        corner = VertexSet(gp, bits_of(imap.index(b, d) for b in range(n) for d in range(n)))
         ok = ok and len(corner) == n * n and is_minimal_dominating(gp, corner)
     gp2, _ = direct_product(rook2xn(2), rook2xn(2))
     exact2, _ = upper_domination_exhaustive(gp2)

@@ -121,6 +121,24 @@ def test_env_budget_applies(tmp_path, capsys, monkeypatch):
     assert code2 == 0 and "value = 2" in out2
 
 
+def _one_line_error(err):
+    return err.startswith("domlab: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("budget", ["-5", "0"])
+def test_compute_rejects_bad_exact_budget(tmp_path, capsys, budget):
+    p6 = _write(tmp_path, "path:6", "p6.adj")
+    code, out, err = run_cli(capsys, "compute", "gamma", p6, "--exact-budget", budget)
+    assert code == 2 and out == "" and _one_line_error(err)
+
+
+def test_compute_order_above_cap_exits_4(tmp_path, capsys):
+    big = tmp_path / "big.adj"
+    big.write_text("20001 0\n")
+    code, _, err = run_cli(capsys, "compute", "gamma", str(big))
+    assert code == 4 and _one_line_error(err) and "cap" in err
+
+
 def test_verify_paper_subset_and_exit(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "verify-paper", "--suite",
@@ -182,6 +200,19 @@ def test_scan_usage_errors(capsys):
     assert run_cli(capsys, "scan", "--family", "", "--max-n", "4")[0] == 2
     assert run_cli(capsys, "scan", "--family", "trees", "--min-n", "6", "--max-n", "4")[0] == 2
     assert run_cli(capsys, "scan", "--family", "nosuch:N", "--max-n", "3")[0] == 2
+
+
+def test_scan_rejects_bad_env_budget(capsys, monkeypatch):
+    monkeypatch.setenv("DOMLAB_BUDGET_MS", "abc")
+    code, out, err = run_cli(capsys, "scan", "--family", "trees", "--max-n", "3")
+    assert code == 2 and out == "" and _one_line_error(err)
+
+
+def test_scan_resource_guard_exits_4(capsys):
+    code, out, err = run_cli(
+        capsys, "scan", "--family", "complete:N", "--min-n", "30000", "--max-n", "30000"
+    )
+    assert code == 4 and out == "" and _one_line_error(err) and "cap" in err
 
 
 def test_scan_json(tmp_path, capsys):

@@ -5,21 +5,20 @@ import random
 import pytest
 
 from domlab.graphs import (
+    ORDER_CAP,
     DomainError,
     FormatError,
     Graph,
+    ResourceError,
     VertexSet,
     ball_bits,
     bit_indices,
     bits_of,
     closed_cover_bits,
     connected_components,
-    diameter,
-    distance_matrix,
     distance_power_conflict_graph,
     has_isolated_vertex,
     induced_subgraph,
-    is_connected,
     open_cover_bits,
     read_graph_text,
     write_graph_text,
@@ -102,23 +101,6 @@ def _brute_dist(g):
     return d
 
 
-def test_distance_matrix_against_floyd_warshall():
-    rng = random.Random(23)
-    for trial in range(30):
-        g = random_graph(rng.randrange(2, 10), rng.choice([0.2, 0.4, 0.7]), seed=500 + trial)
-        want = _brute_dist(g)
-        got = distance_matrix(g)
-        for i in range(g.n):
-            for j in range(g.n):
-                assert got[i][j] == want[i][j]
-
-
-def test_diameter():
-    assert diameter(path(7)) == 6
-    assert diameter(cycle(8)) == 4
-    assert diameter(Graph(3, [(0, 1)])) == float("inf")
-
-
 def test_ball_bits():
     g = path(7)
     assert ball_bits(g, 0, 2) == bits_of([0, 1, 2])
@@ -127,22 +109,24 @@ def test_ball_bits():
 
 
 def test_distance_power_conflict_graph():
-    g = path(6)
-    c = distance_power_conflict_graph(g, 3)
-    d = distance_matrix(g)
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            assert c.has_edge(u, v) == (d[u][v] <= 3)
+    rng = random.Random(23)
+    for trial in range(30):
+        g = random_graph(rng.randrange(2, 10), rng.choice([0.2, 0.4, 0.7]), seed=500 + trial)
+        d = _brute_dist(g)
+        for k in (1, 2, 3):
+            c = distance_power_conflict_graph(g, k)
+            for u in range(g.n):
+                for v in range(u + 1, g.n):
+                    assert c.has_edge(u, v) == (d[u][v] <= k)
     with pytest.raises(DomainError):
-        distance_power_conflict_graph(g, 0)
+        distance_power_conflict_graph(path(6), 0)
 
 
 def test_components_and_connectivity():
     g = Graph(6, [(0, 1), (1, 2), (4, 5)])
     comps = connected_components(g)
     assert sorted(comps) == sorted([bits_of([0, 1, 2]), bits_of([3]), bits_of([4, 5])])
-    assert not is_connected(g)
-    assert is_connected(cycle(5))
+    assert connected_components(cycle(5)) == [cycle(5).full_bits()]
     assert has_isolated_vertex(g)
     assert not has_isolated_vertex(path(2))
 
@@ -186,8 +170,22 @@ def test_text_format_comments_allowed_blank_lines_rejected():
         "2 1\n0 2\n",  # out of range
         "2 1\n0 x\n",  # non-integer
         "-1 0\n",  # negative order
+        "11 1\n0 1_0\n",  # int() would read 1_0 as 10
+        "2 1\n+0 1\n",  # explicit sign
+        "2 1\n00 1\n",  # leading zero
+        "2 1\n0\t1\n",  # tab separator
+        "2 1\n0 1 \n",  # trailing space
+        "2 1\n0  1\n",  # double space
+        "2 1 \n0 1\n",  # trailing space in the header
+        "02 1\n0 1\n",  # leading zero in the header
     ],
 )
 def test_text_format_rejections(text):
     with pytest.raises(FormatError):
         read_graph_text(text)
+
+
+def test_text_format_order_cap():
+    assert read_graph_text(f"{ORDER_CAP} 0\n").n == ORDER_CAP
+    with pytest.raises(ResourceError):
+        read_graph_text(f"{ORDER_CAP + 1} 0\n")

@@ -1,4 +1,4 @@
-"""Product constructors, implicit checks against materialized ones, rook classes."""
+"""Product constructors, implicit checks against materialized ones, the rook corner class."""
 
 import random
 
@@ -6,7 +6,6 @@ import pytest
 
 from domlab.graphs import (
     ResourceError,
-    VertexSet,
     bits_of,
     closed_cover_bits,
     open_cover_bits,
@@ -20,8 +19,6 @@ from domlab.products import (
     multiway_direct_complete,
     product_pair_adjacent,
     product_pairing_is_valid,
-    rook_axis_class,
-    rook_product_partition,
 )
 
 
@@ -136,40 +133,12 @@ def test_product_pairing_validation():
     assert not product_pairing_is_valid(g, g, [(0, 0), (0, 0)], [((0, 0), (0, 0))])
 
 
-def test_rook_axis_classes_partition_product():
-    for n in (3, 4, 5):
-        g = rook2xn(n)
-        gp, _ = direct_product(g, g)
-        seen = 0
-        for i in range(2):
-            for j in range(2):
-                cls = rook_axis_class(gp, n, i, j)
-                assert len(cls) == n * n
-                assert seen & cls.bits == 0
-                seen |= cls.bits
-        assert seen == gp.full_bits()
-
-
-def test_rook_partition_splits_by_row_blocks():
-    rng = random.Random(59)
-    for n in (3, 4, 5):
-        g = rook2xn(n)
-        gp, imap = direct_product(g, g)
-        members = rng.sample(range(gp.n), 10)
-        parts = rook_product_partition(n, VertexSet.of(gp, members))
-        assert sum(len(p) for p in parts) == 10
-        for k, part in enumerate(parts):
-            for idx in part:
-                left, right = imap.pair(idx)
-                assert (left // n) * 2 + (right // n) == k
-
-
 def test_rook_corner_class_dominates():
     n = 3
     g = rook2xn(n)
-    gp, _ = direct_product(g, g)
-    corner = rook_axis_class(gp, n, 0, 0)
-    assert closed_cover_bits(gp, corner.bits) == gp.full_bits()
+    gp, imap = direct_product(g, g)
+    corner = bits_of(imap.index(b, d) for b in range(n) for d in range(n))
+    assert closed_cover_bits(gp, corner) == gp.full_bits()
 
 
 def test_products_allow_isolated_factor_vertices():

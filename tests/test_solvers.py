@@ -1,8 +1,13 @@
 """Exact solvers: frozen values, certificates, budgets, witness constructions."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import domlab
 
 from oracles import brute_upper_gamma
 
@@ -186,6 +191,40 @@ def test_budget_on_max_side():
     if not c.exact:
         assert is_minimal_dominating(g, c.witness)  # lo end witnessed for max side
         assert c.lo == len(c.witness) and c.hi >= c.lo
+
+
+def test_search_node_counts_pinned():
+    # A change to search order or pruning must update these counts on purpose.
+    c5c6, _ = direct_product(cycle(5), cycle(6))
+    g = domination_number(c5c6)
+    t = total_domination_number(multiway_direct_complete([3, 3, 3]), Budget(max_nodes=10_000))
+    p = paired_domination_number(c5c6)
+    assert (g.value, g.nodes, g.witness.members()) == (7, 1005, [0, 1, 9, 12, 17, 20, 28])
+    assert (t.value, t.nodes, t.witness.members()) == (5, 3456, [3, 7, 13, 15, 20])
+    assert (p.value, p.nodes) == (10, 15460)
+    assert p.pairing == ((0, 7), (1, 24), (8, 15), (14, 21), (22, 29))
+
+
+def test_corrupt_component_result_raises_under_O():
+    # the certificate re-check must survive python -O, which strips asserts
+    script = """
+import dataclasses
+import domlab.solvers as s
+from domlab.families import path
+solve = s._min_cover
+s._min_cover = lambda *args: dataclasses.replace(solve(*args), bits=1)
+try:
+    s.domination_number(path(6))
+except AssertionError as exc:
+    print("raised:", exc)
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(domlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "raised: gamma certificate fails its re-check\n"
 
 
 def test_budget_validation():

@@ -31,7 +31,14 @@ EXIT_USAGE = 2
 EXIT_BOUNDS = 3
 EXIT_GUARD = 4
 
-_PARAMS = ("gamma", "gamma_t", "gamma_pr", "upper_gamma", "rho_k", "alpha")
+_SOLVERS = {
+    "gamma": domination_number,
+    "gamma_t": total_domination_number,
+    "gamma_pr": paired_domination_number,
+    "upper_gamma": upper_domination_number,
+    "rho_k": packing_number,
+    "alpha": independence_number,
+}
 
 
 def _err(msg: str) -> None:
@@ -41,6 +48,21 @@ def _err(msg: str) -> None:
 def _load_graph(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return read_graph_text(fh.read())
+
+
+def _write_out(path, text: str) -> bool:
+    """Writes text to path, or to stdout when no path is given; on a file
+    error prints one error line and returns False."""
+    if not path:
+        sys.stdout.write(text)
+        return True
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        _err(str(exc))
+        return False
+    return True
 
 
 def _budget(args) -> Budget:
@@ -67,13 +89,7 @@ def cmd_construct(args) -> int:
     except ResourceError as exc:
         _err(str(exc))
         return EXIT_GUARD
-    text = write_graph_text(g)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return EXIT_OK if _write_out(args.output, write_graph_text(g)) else EXIT_USAGE
 
 
 def cmd_compute(args) -> int:
@@ -89,7 +105,7 @@ def cmd_compute(args) -> int:
     try:
         budget = _budget(args)
         graphs = [_load_graph(p) for p in args.graphs]
-    except (OSError, FormatError, DomainError) as exc:
+    except (OSError, UnicodeDecodeError, FormatError, DomainError) as exc:
         _err(str(exc))
         return EXIT_USAGE
     except ResourceError as exc:
@@ -101,18 +117,8 @@ def cmd_compute(args) -> int:
             g, _ = make(graphs[0], graphs[1])
         else:
             g = graphs[0]
-        if args.param == "gamma":
-            cert = domination_number(g, budget)
-        elif args.param == "gamma_t":
-            cert = total_domination_number(g, budget)
-        elif args.param == "gamma_pr":
-            cert = paired_domination_number(g, budget)
-        elif args.param == "upper_gamma":
-            cert = upper_domination_number(g, budget)
-        elif args.param == "rho_k":
-            cert = packing_number(g, args.k, budget)
-        else:
-            cert = independence_number(g, budget)
+        solve = _SOLVERS[args.param]
+        cert = solve(g, args.k, budget) if args.param == "rho_k" else solve(g, budget)
     except (DomainError, ResourceError) as exc:
         _err(str(exc))
         return EXIT_GUARD
@@ -166,9 +172,8 @@ def cmd_verify_paper(args) -> int:
     print(f"claims run: {len(reports)}; refuted: {refuted}")
     if args.json:
         payload = [rep.to_dict(include_timings=args.timings) for rep in reports]
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        if not _write_out(args.json, json.dumps(payload, indent=2) + "\n"):
+            return EXIT_USAGE
     return EXIT_OK if refuted == 0 else 1
 
 
@@ -225,9 +230,8 @@ def cmd_scan(args) -> int:
         print(f"max ratio = {hi[0]} at {hi[1]}")
     if args.json:
         payload = [rep.to_dict() for rep in reports]
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        if not _write_out(args.json, json.dumps(payload, indent=2) + "\n"):
+            return EXIT_USAGE
     return EXIT_OK
 
 
@@ -244,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("compute", help="compute a parameter on a graph or a product")
-    p.add_argument("param", choices=_PARAMS)
+    p.add_argument("param", choices=_SOLVERS)
     p.add_argument("graphs", nargs="+", help="one or two graph files")
     p.add_argument("--product", choices=("direct", "cartesian"))
     p.add_argument("--k", type=int, help="packing radius for rho_k")

@@ -6,6 +6,7 @@ with the package. Intended for orders up to about 10.
 """
 
 from collections import deque
+from itertools import permutations
 
 
 def _closed(g, v):
@@ -48,6 +49,20 @@ def distances(g):
 
 def is_connected(g):
     return g.n == 0 or min(_dist(g, 0)) >= 0
+
+
+def brute_tree_form(n, edges):
+    """Lexicographically least sorted edge list over all n! relabelings, and
+    the number of relabelings that map the edge list onto itself (|Aut|)."""
+    own = sorted(tuple(sorted(e)) for e in edges)
+    best = None
+    auts = 0
+    for perm in permutations(range(n)):
+        relabeled = sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges)
+        if best is None or relabeled < best:
+            best = relabeled
+        auts += relabeled == own
+    return best, auts
 
 
 def _subset_has_pm(g, mask):

@@ -1,8 +1,10 @@
 """Claim harness: statuses, embedded-witness re-validation, determinism."""
 
 import json
+from math import factorial
 
 import pytest
+from oracles import brute_tree_form, is_connected
 
 from domlab.graphs import DomainError, VertexSet, bits_of, closed_cover_bits
 from domlab.families import complete, cycle, lollipop, path, pendant_pairs, rook2xn, subdivided_star
@@ -190,11 +192,20 @@ def test_ratio_scan_skips_over_budget_pairs():
 
 
 def test_distinct_trees_counts():
-    trees = distinct_trees(2, 6)
-    # 1, 1, 2, 3, 6 non-isomorphic trees on 2..6 vertices
+    trees = distinct_trees(1, 12)
     by_order = {}
     for t in trees:
-        by_order[t.n] = by_order.get(t.n, 0) + 1
-        assert t.m == t.n - 1
-        assert t.label.startswith(f"tree:{t.n}:")
-    assert by_order == {2: 1, 3: 1, 4: 2, 5: 3, 6: 6}
+        k = by_order.get(t.n, 0)
+        assert t.label == f"tree:{t.n}:{k}"
+        assert t.m == t.n - 1 and is_connected(t)
+        by_order[t.n] = k + 1
+    # non-isomorphic trees on 1..12 vertices (OEIS A000055)
+    assert [by_order[n] for n in range(1, 13)] == [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
+    for n in range(2, 8):
+        reps = [list(t.edges()) for t in trees if t.n == n]
+        forms = [brute_tree_form(n, edges) for edges in reps]
+        # each representative is its own least labeling, so no two are isomorphic
+        assert [form for form, _ in forms] == reps
+        assert len({tuple(e) for e in reps}) == len(reps)
+        # Cayley: the labelings of all shapes together are every labeled tree
+        assert sum(factorial(n) // auts for _, auts in forms) == n ** (n - 2)

@@ -139,6 +139,13 @@ def test_compute_order_above_cap_exits_4(tmp_path, capsys):
     assert code == 4 and _one_line_error(err) and "cap" in err
 
 
+def test_compute_non_utf8_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.adj"
+    bad.write_bytes(b"\xff\xfe2 1\n0 1\n")
+    code, out, err = run_cli(capsys, "compute", "gamma", str(bad))
+    assert code == 2 and out == "" and _one_line_error(err)
+
+
 def test_verify_paper_subset_and_exit(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "verify-paper", "--suite",
@@ -208,9 +215,14 @@ def test_scan_rejects_bad_env_budget(capsys, monkeypatch):
     assert code == 2 and out == "" and _one_line_error(err)
 
 
-def test_scan_resource_guard_exits_4(capsys):
+@pytest.mark.parametrize(
+    "family, min_n, max_n",
+    [("complete:N", "30000", "30000"), ("trees", "2", "13")],
+    ids=["complete", "trees"],
+)
+def test_scan_resource_guard_exits_4(capsys, family, min_n, max_n):
     code, out, err = run_cli(
-        capsys, "scan", "--family", "complete:N", "--min-n", "30000", "--max-n", "30000"
+        capsys, "scan", "--family", family, "--min-n", min_n, "--max-n", max_n
     )
     assert code == 4 and out == "" and _one_line_error(err) and "cap" in err
 
@@ -224,3 +236,17 @@ def test_scan_json(tmp_path, capsys):
     assert code == 0
     docs = json.loads(out_path.read_text())
     assert docs[0]["values"]["ratio"] == 0.75
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "path:3", "-o"),
+        ("scan", "--family", "subdivided_star:N", "--max-n", "2", "--json"),
+        ("verify-paper", "--suite", "appended-path-monotonicity", "--json"),
+    ],
+    ids=["construct", "scan", "verify-paper"],
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    code, _, err = run_cli(capsys, *argv, str(tmp_path / "no-such-dir" / "out"))
+    assert code == 2 and _one_line_error(err)

@@ -65,6 +65,18 @@ def _write_out(path, text: str) -> bool:
     return True
 
 
+def _can_write(path) -> bool:
+    """Opens path for appending, which creates it but keeps what it holds, so
+    that a long command finds an unwritable output path before its work; on
+    a file error prints one error line and returns False."""
+    try:
+        with open(path, "a", encoding="utf-8"):
+            return True
+    except OSError as exc:
+        _err(str(exc))
+        return False
+
+
 def _budget(args) -> Budget:
     """Node budget from --exact-budget, else the DOMLAB_BUDGET_MS wall clock,
     else the default; a bad value raises DomainError or FormatError."""
@@ -132,6 +144,7 @@ def cmd_compute(args) -> int:
             "value": cert.value,
             "witness": sorted(cert.witness.members()),
             "pairing": [list(p) for p in cert.pairing],
+            "nodes": cert.nodes,
         }
         if cert.k is not None:
             out["k"] = cert.k
@@ -157,6 +170,8 @@ def cmd_verify_paper(args) -> int:
         if not ids:
             _err("empty suite selection")
             return EXIT_USAGE
+    if args.json and not _can_write(args.json):
+        return EXIT_USAGE
     try:
         reports = run_suite(ids, seed=args.seed)
     except DomainError as exc:
@@ -212,6 +227,8 @@ def cmd_scan(args) -> int:
         return EXIT_GUARD
     if not pairs:
         _err("pattern produced no instances")
+        return EXIT_USAGE
+    if args.json and not _can_write(args.json):
         return EXIT_USAGE
     reports = ratio_scan(pairs, budget)
     lo = hi = None

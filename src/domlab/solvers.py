@@ -16,8 +16,13 @@ disjointness: vertices with closed covers for gamma and open covers for
 gamma_t, edges covering both closed neighborhoods for gamma_pr. A greedy
 gives the upper end, a counting bound the lower end, and the search tries
 each size in between, branching on the uncovered vertex with the fewest
-coverers. upper_gamma runs include/exclude branch-and-bound, and rho_k and
-alpha a maximum independent set search. One all-subsets scan for minimal
+coverers. A node is pruned when the picks left cannot finish the cover by
+either of two bounds: counting (no pick covers more than the largest
+cover), or disjoint coverers (uncovered vertices whose coverer sets are
+pairwise disjoint each need a pick of their own). The second is skipped
+where a cap computed from the coverer counts shows it cannot prune, and at
+the last pick. upper_gamma runs include/exclude branch-and-bound, and rho_k
+and alpha a maximum independent set search. One all-subsets scan for minimal
 covers backs both the upper_gamma oracle and the minimal total dominating
 sizes.
 
@@ -282,46 +287,94 @@ def _greedy(cov, ends, full: int):
     return picks
 
 
-def _cover_search(cov, dis, coverers, full, size, maxcov, tracker):
-    """Indices of `size` disjoint elements covering full, or None. Branches on
-    the uncovered vertex with the fewest coverers, trying them in index order,
-    and prunes when the picks left cannot cover what is uncovered."""
+def _cover_search(cov, dis, coverers, full, maxcov, tracker):
+    """search(size) -> indices of `size` disjoint elements covering full, or
+    None; what does not depend on the size is built once, here.
+
+    The search branches on the uncovered vertex with the fewest coverers
+    (lowest index on ties), trying them in index order, and prunes a node by
+    two lower bounds on the picks still needed:
+
+    - counting: no pick covers more than maxcov vertices;
+    - disjoint coverers: walking the uncovered vertices fewest coverers
+      first, each one whose coverers share none with those of the vertices
+      counted before it needs a pick of its own (van Rooij & Bodlaender,
+      Exact algorithms for dominating set, 2011).
+
+    Both cut only subtrees that hold no cover, so the first cover found, and
+    every witness with it, does not depend on them. The second runs only
+    where it can prune: at most `cap` coverer sets are pairwise disjoint
+    (their sizes, smallest first, must fit into the element count), so it is
+    skipped once the picks left reach cap. It is also skipped at the last
+    pick, where each child is one check in the branching loop (still one
+    node each) instead of a call."""
     counts = [len(c) for c in coverers]
     min_c = min(counts)
-    chosen = []
+    order = sorted(range(len(coverers)), key=counts.__getitem__)
+    walk = [(1 << v, bits_of(coverers[v])) for v in order]
+    cap = 0
+    room = len(cov)
+    for v in order:
+        room -= counts[v]
+        if room < 0:
+            break
+        cap += 1
 
-    def rec(covered, used, depth):
-        tracker.tick()
-        if covered == full:
-            return True
-        if depth == size:
-            return False
-        unc = full & ~covered
-        if (size - depth) * maxcov < unc.bit_count():
-            return False
-        best_v = -1
-        best_c = 1 << 30
-        scan = unc
-        while scan:
-            low = scan & -scan
-            v = low.bit_length() - 1
-            scan ^= low
-            if counts[v] < best_c:
-                best_c = counts[v]
-                best_v = v
-                if best_c <= min_c:
-                    break
-        for i in coverers[best_v]:
-            d = dis[i]
-            if used & d:
-                continue
-            chosen.append(i)
-            if rec(covered | cov[i], used | d, depth + 1):
+    def search(size):
+        chosen = []
+
+        def rec(covered, used, depth):
+            tracker.tick()
+            if covered == full:
                 return True
-            chosen.pop()
-        return False
+            left = size - depth
+            if not left:
+                return False
+            unc = full & ~covered
+            if left * maxcov < unc.bit_count():
+                return False
+            if 1 < left < cap:
+                seen = need = 0
+                for bit, cmask in walk:
+                    if unc & bit and not seen & cmask:
+                        seen |= cmask
+                        need += 1
+                        if need > left:
+                            return False
+            best_v = -1
+            best_c = 1 << 30
+            scan = unc
+            while scan:
+                low = scan & -scan
+                v = low.bit_length() - 1
+                scan ^= low
+                if counts[v] < best_c:
+                    best_c = counts[v]
+                    best_v = v
+                    if best_c <= min_c:
+                        break
+            if left == 1:
+                for i in coverers[best_v]:
+                    if used & dis[i]:
+                        continue
+                    tracker.tick()
+                    if covered | cov[i] == full:
+                        chosen.append(i)
+                        return True
+                return False
+            for i in coverers[best_v]:
+                d = dis[i]
+                if used & d:
+                    continue
+                chosen.append(i)
+                if rec(covered | cov[i], used | d, depth + 1):
+                    return True
+                chosen.pop()
+            return False
 
-    return tuple(chosen) if rec(0, 0, 0) else None
+        return tuple(chosen) if rec(0, 0, 0) else None
+
+    return search
 
 
 def _cover_part(lo, hi, picked, exact) -> _Part:
@@ -355,9 +408,10 @@ def _min_cover(gc: Graph, cov, ends, tracker) -> _Part:
         for i, c in enumerate(cov):
             for v in bit_indices(c):
                 coverers[v].append(i)
+        search = _cover_search(cov, dis, coverers, full, maxcov, tracker)
         for size in range(lb, top):
             try:
-                found = _cover_search(cov, dis, coverers, full, size, maxcov, tracker)
+                found = search(size)
             except _BudgetExceeded:
                 return _cover_part(w * size, w * top, picked, False)
             if found is not None:

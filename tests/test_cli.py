@@ -4,9 +4,12 @@ import json
 
 import pytest
 
+from domlab import cli
 from domlab.cli import main
-from domlab.families import build_family, parse_family_spec
+from domlab.families import build_family, cycle, parse_family_spec
 from domlab.graphs import read_graph_text, write_graph_text
+from domlab.products import direct_product
+from domlab.solvers import domination_number
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +70,14 @@ def test_compute_json_output(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["parameter"] == "gamma_pr" and doc["value"] == 4 and doc["exact"]
     assert doc["witness"] == [1, 2, 3, 4] and doc["pairing"] == [[1, 2], [3, 4]]
+    assert doc["nodes"] == 0  # the greedy met the counting bound: no search
+    c5 = _write(tmp_path, "cycle:5", "c5.adj")
+    c6 = _write(tmp_path, "cycle:6", "c6.adj")
+    code, out, _ = run_cli(capsys, "compute", "gamma", c5, c6, "--product", "direct", "--json")
+    doc = json.loads(out)
+    cert = domination_number(direct_product(cycle(5), cycle(6))[0])
+    assert code == 0 and doc["value"] == cert.value == 7
+    assert doc["nodes"] == cert.nodes > 0
 
 
 def test_compute_on_product(tmp_path, capsys):
@@ -247,6 +258,20 @@ def test_scan_json(tmp_path, capsys):
     ],
     ids=["construct", "scan", "verify-paper"],
 )
-def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # the output path is tried before the work, so the work never starts
+    def never(*args, **kwargs):
+        raise AssertionError("ran the work before trying the output path")
+
+    monkeypatch.setattr(cli, "ratio_scan", never)
+    monkeypatch.setattr(cli, "run_suite", never)
     code, _, err = run_cli(capsys, *argv, str(tmp_path / "no-such-dir" / "out"))
     assert code == 2 and _one_line_error(err)
+
+
+def test_failed_run_keeps_existing_json(tmp_path, capsys):
+    # trying the output path early must not truncate it
+    out_path = tmp_path / "report.json"
+    out_path.write_text("old\n")
+    code, _, err = run_cli(capsys, "verify-paper", "--suite", "no-such-claim", "--json", str(out_path))
+    assert code == 2 and _one_line_error(err) and out_path.read_text() == "old\n"

@@ -9,7 +9,7 @@ import pytest
 
 import domlab
 
-from oracles import brute_upper_gamma
+from oracles import brute_gamma, brute_gamma_pr, brute_gamma_t, brute_upper_gamma
 
 from domlab.graphs import DomainError, Graph, ResourceError, VertexSet, bits_of
 from domlab.families import (
@@ -195,14 +195,41 @@ def test_budget_on_max_side():
 
 def test_search_node_counts_pinned():
     # A change to search order or pruning must update these counts on purpose.
+    # The disjoint-coverer bound prunes the gamma search on C5xC6 and the
+    # gamma_pr search on C7xC8, but no node of the other two.
     c5c6, _ = direct_product(cycle(5), cycle(6))
     g = domination_number(c5c6)
     t = total_domination_number(multiway_direct_complete([3, 3, 3]), Budget(max_nodes=10_000))
     p = paired_domination_number(c5c6)
-    assert (g.value, g.nodes, g.witness.members()) == (7, 1005, [0, 1, 9, 12, 17, 20, 28])
+    p78 = paired_domination_number(direct_product(cycle(7), cycle(8))[0])
+    assert (g.value, g.nodes, g.witness.members()) == (7, 285, [0, 1, 9, 12, 17, 20, 28])
     assert (t.value, t.nodes, t.witness.members()) == (5, 3456, [3, 7, 13, 15, 20])
     assert (p.value, p.nodes) == (10, 15460)
     assert p.pairing == ((0, 7), (1, 24), (8, 15), (14, 21), (22, 29))
+    assert (p78.value, p78.nodes) == (16, 30098)
+
+
+# Direct products of order 14..16 on which the disjoint-coverer bound prunes
+# search nodes: gamma on all but P3xP5, gamma_t on all, gamma_pr on the three
+# K2 products. The brute-force gamma_pr stays under a second at these orders.
+_PRUNED_PRODUCTS = {
+    "C5xP3": (cycle(5), path(3)),
+    "C7xK2": (cycle(7), path(2)),
+    "C3xP5": (cycle(3), path(5)),
+    "P3xP5": (path(3), path(5)),
+    "K2xT8": (path(2), random_tree(8, 1)),
+    "K2xG7": (path(2), random_graph(7, 0.45, 2)),
+    "K2xG8": (path(2), random_graph(8, 0.45, 17)),
+    "G5xG3": (random_graph(5, 0.5, 3), random_graph(3, 0.5, 1003)),
+}
+
+
+@pytest.mark.parametrize("name", _PRUNED_PRODUCTS)
+def test_min_side_matches_oracles_where_the_bound_prunes(name):
+    g, _ = direct_product(*_PRUNED_PRODUCTS[name])
+    assert domination_number(g).value == brute_gamma(g)
+    assert total_domination_number(g).value == brute_gamma_t(g)
+    assert paired_domination_number(g).value == brute_gamma_pr(g)
 
 
 def test_corrupt_component_result_raises_under_O():

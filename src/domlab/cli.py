@@ -114,6 +114,9 @@ def cmd_compute(args) -> int:
     if args.param == "rho_k" and args.k is None:
         _err("rho_k needs --k")
         return EXIT_USAGE
+    if args.param != "rho_k" and args.k is not None:
+        _err("--k applies only to rho_k")
+        return EXIT_USAGE
     try:
         budget = _budget(args)
         graphs = [_load_graph(p) for p in args.graphs]

@@ -21,10 +21,12 @@ either of two bounds: counting (no pick covers more than the largest
 cover), or disjoint coverers (uncovered vertices whose coverer sets are
 pairwise disjoint each need a pick of their own). The second is skipped
 where a cap computed from the coverer counts shows it cannot prune, and at
-the last pick. upper_gamma runs include/exclude branch-and-bound, and rho_k
-and alpha a maximum independent set search. One all-subsets scan for minimal
-covers backs both the upper_gamma oracle and the minimal total dominating
-sizes.
+the last pick. upper_gamma runs include/exclude branch-and-bound over
+irredundant sets (each member covers a vertex no other member covers) on
+masks of the vertices covered once and twice, and rho_k and alpha a maximum
+independent set search. One enumeration of minimal covers, extending
+irredundant sets instead of scanning all subsets, backs the upper_gamma
+fallback and oracle and the minimal total dominating sizes.
 
 All tie-breaks pick the lowest vertex or edge index, so witnesses are
 deterministic. Every solver takes an explicit budget; exceeding it yields an
@@ -64,7 +66,7 @@ from .products import (
 )
 
 DEFAULT_NODE_BUDGET = 2_000_000
-UPPER_SCAN_CAP = 20  # order cap of the all-subsets upper_gamma scan
+UPPER_SCAN_CAP = 20  # order cap of the exhaustive upper_gamma enumeration
 
 
 @dataclass(frozen=True)
@@ -213,31 +215,29 @@ class _Part:
     pairs: tuple = ()
 
 
-def _translate_bits(bits: int, back: dict) -> int:
-    out = 0
-    for v in bit_indices(bits):
-        out |= 1 << back[v]
-    return out
-
-
 def _solve(g, parameter, solve_part, check, budget=None, split=None, k=None) -> Certificate:
     """Runs solve_part(component, tracker) on each connected component of
     `split` (default g, which has the same vertices), merges the parts into
-    one certificate on g and re-checks it with check(certificate)."""
+    one certificate on g and re-checks it with check(certificate). A
+    connected `split` is solved as it is, without a relabeled copy."""
     tracker = _Tracker(budget or Budget())
     split = g if split is None else split
     lo = hi = bits = 0
     exact = True
     pairing = []
     for comp in connected_components(split):
-        sub, remap = induced_subgraph(split, VertexSet(split, comp))
-        back = {new: old for old, new in remap.items()}
-        part = solve_part(sub, tracker)
+        if comp == split.full_bits():
+            part = solve_part(split, tracker)
+        else:
+            part = solve_part(induced_subgraph(split, VertexSet(split, comp))[0], tracker)
+            old = bit_indices(comp)  # component vertex i is vertex old[i] of split
+            part.bits = bits_of(old[v] for v in bit_indices(part.bits))
+            part.pairs = tuple((old[a], old[b]) for a, b in part.pairs)
         lo += part.lo
         hi += part.hi
         exact &= part.exact
-        bits |= _translate_bits(part.bits, back)
-        pairing.extend(tuple(sorted((back[a], back[b]))) for a, b in part.pairs)
+        bits |= part.bits
+        pairing.extend(part.pairs)
     cert = Certificate(
         parameter, lo, hi, exact, VertexSet(g, bits), tuple(sorted(pairing)), k, tracker.nodes
     )
@@ -475,62 +475,53 @@ def _minimalize_bits(gc: Graph, bits: int) -> int:
 
 
 def _upper_exhaustive(gc: Graph) -> _Part:
-    """Largest minimal dominating set of gc by the all-subsets scan."""
+    """Largest minimal dominating set of gc (lowest mask) by _minimal_covers."""
     found = _minimal_covers(_vertex_elements(gc, False)[0], gc.full_bits())
     size = max(found)
     return _Part(size, size, found[size], True)
 
 
 def _upper_component(gc: Graph, tracker) -> _Part:
+    """Include/exclude branch and bound over irredundant sets D; once and
+    twice mask the vertices N[D] covers at least once and twice. v is
+    addable when N[v] meets an uncovered vertex and, for each member d,
+    misses one of d's private vertices N[d] & once & ~twice. N[] is
+    symmetric, so the first holds on N[uncovered] and the second fails on
+    the intersection of N[u] over d's private vertices u."""
     n = gc.n
     full = gc.full_bits()
     closed, ends = _vertex_elements(gc, False)
     inc_bits = _minimalize_bits(gc, bits_of(_greedy(closed, ends, full)))
     best = [inc_bits.bit_count(), inc_bits]
-    domcnt = [0] * n
 
-    def can_add(v, d_bits):
-        nv = closed[v]
-        for u in bit_indices(nv):
-            if domcnt[u] == 0:
-                break
-        else:
-            return False
-        for d in bit_indices(d_bits):
-            for u in bit_indices(closed[d]):
-                if domcnt[u] + (1 if nv >> u & 1 else 0) == 1:
-                    break
-            else:
-                return False
-        return True
-
-    def rec(d_bits, banned, size):
+    def rec(d_bits, banned, size, once, twice):
         tracker.tick()
         avail = full & ~d_bits & ~banned
-        addable = [v for v in bit_indices(avail) if can_add(v, d_bits)]
-        if size + len(addable) <= best[0]:
+        uncovered = full & ~once
+        addable = avail & closed_cover_bits(gc, uncovered)
+        alone = once & ~twice
+        for d in bit_indices(d_bits):
+            holds = full
+            for u in bit_indices(closed[d] & alone):
+                holds &= closed[u]
+            addable &= ~holds
+        count = addable.bit_count()
+        if size + count <= best[0]:
             return
-        if not addable:
-            if all(c > 0 for c in domcnt):
+        if not count:
+            if not uncovered:
                 best[0] = size
                 best[1] = d_bits
             return
-        v = addable[0]
-        for u in bit_indices(closed[v]):
-            domcnt[u] += 1
-        rec(d_bits | 1 << v, banned, size + 1)
-        for u in bit_indices(closed[v]):
-            domcnt[u] -= 1
-        uncovered = 0
-        for u in range(n):
-            if domcnt[u] == 0:
-                uncovered |= 1 << u
-        potential = closed_cover_bits(gc, avail & ~(1 << v)) if uncovered else 0
+        low = addable & -addable
+        v = low.bit_length() - 1
+        rec(d_bits | low, banned, size + 1, once | closed[v], twice | once & closed[v])
+        potential = closed_cover_bits(gc, avail & ~low) if uncovered else 0
         if not uncovered & ~potential:
-            rec(d_bits, banned | 1 << v, size)
+            rec(d_bits, banned | low, size, once, twice)
 
     try:
-        rec(0, 0, 0)
+        rec(0, 0, 0, 0, 0)
         return _Part(best[0], best[0], best[1], True)
     except _BudgetExceeded:
         if n <= UPPER_SCAN_CAP:
@@ -549,8 +540,9 @@ def upper_domination_number(g: Graph, budget: Budget | None = None) -> Certifica
 
 
 def upper_domination_exhaustive(g: Graph):
-    """Independent all-subsets oracle for upper_gamma, order <= 20 overall;
-    returns (value, witness)."""
+    """Exhaustive upper_gamma, independent of the branch and bound: the lowest
+    mask of the largest size among all minimal dominating sets, which
+    _minimal_covers lists; order <= 20 overall; returns (value, witness)."""
     if g.n > UPPER_SCAN_CAP:
         raise ResourceError(
             f"exhaustive minimal-dominating scan capped at order {UPPER_SCAN_CAP}"
@@ -570,6 +562,7 @@ def upper_domination_exhaustive(g: Graph):
 def _mis_component(gc: Graph, tracker) -> _Part:
     n = gc.n
     full = gc.full_bits()
+    adj = gc.adj
     closed = [gc.closed(v) for v in range(n)]
     avail = full
     greedy_bits = 0
@@ -577,7 +570,7 @@ def _mis_component(gc: Graph, tracker) -> _Part:
         best_v = -1
         best_d = 1 << 30
         for v in bit_indices(avail):
-            d = (gc.adj[v] & avail).bit_count()
+            d = (adj[v] & avail).bit_count()
             if d < best_d:
                 best_d = d
                 best_v = v
@@ -586,30 +579,33 @@ def _mis_component(gc: Graph, tracker) -> _Part:
     best = [greedy_bits.bit_count(), greedy_bits]
 
     def rec(avail, size, cur):
+        # One pass takes the isolated vertices and the highest-degree other
+        # vertex (lowest index on ties): an isolated vertex is nobody's
+        # neighbor, so taking it changes no other degree in avail.
         tracker.tick()
-        while True:
-            iso = 0
-            for v in bit_indices(avail):
-                if not gc.adj[v] & avail:
-                    iso |= 1 << v
-            if not iso:
-                break
-            cur |= iso
-            size += iso.bit_count()
-            avail &= ~iso
+        iso = 0
+        best_v = -1
+        best_d = 0
+        scan = avail
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            v = low.bit_length() - 1
+            d = (adj[v] & avail).bit_count()
+            if not d:
+                iso |= low
+            elif d > best_d:
+                best_d = d
+                best_v = v
+        cur |= iso
+        size += iso.bit_count()
+        avail &= ~iso
         if size + avail.bit_count() <= best[0]:
             return
         if not avail:
             best[0] = size
             best[1] = cur
             return
-        best_v = -1
-        best_d = -1
-        for v in bit_indices(avail):
-            d = (gc.adj[v] & avail).bit_count()
-            if d > best_d:
-                best_d = d
-                best_v = v
         rec(avail & ~closed[best_v], size + 1, cur | 1 << best_v)
         rec(avail & ~(1 << best_v), size, cur)
 
@@ -812,32 +808,34 @@ def pendant_product_dominating(g, h, v, base_members, base_pairing, side, side_p
 
 def _minimal_covers(cover, full: int) -> dict:
     """{size: lowest mask} over the inclusion-minimal vertex masks whose covers
-    union to full, scanning all 2^n masks in order and skipping sizes already
-    recorded. A member is redundant when everything it covers is covered
-    twice."""
+    union to full: the covers among the irredundant masks, where each member
+    covers a vertex no other member covers. Dropping members never takes a
+    private vertex away, so that family is closed under taking subsets, and
+    a depth-first extension in increasing index that stops where a member
+    loses its last private vertex visits each irredundant mask once. It
+    visits every minimal cover, so each size keeps the all-subsets lowest."""
     found = {}
-    for mask in range(1 << len(cover)):
-        size = mask.bit_count()
-        if size in found:
-            continue
-        once = twice = 0
-        scan = mask
-        while scan:
-            low = scan & -scan
-            c = cover[low.bit_length() - 1]
-            twice |= once & c
-            once |= c
-            scan ^= low
-        if once != full:
-            continue
-        scan = mask
-        while scan:
-            low = scan & -scan
-            if not cover[low.bit_length() - 1] & ~twice:
-                break
-            scan ^= low
-        else:
-            found[size] = mask
+
+    def extend(mask, once, twice, start, members):
+        if once == full:
+            size = mask.bit_count()
+            if mask < found.get(size, mask + 1):
+                found[size] = mask
+            return
+        for v in range(start, len(cover)):
+            c = cover[v]
+            if not c & ~once:
+                continue
+            both = twice | once & c
+            for d in members:
+                if not d & ~both:
+                    break
+            else:
+                members.append(c)
+                extend(mask | 1 << v, once | c, both, v + 1, members)
+                members.pop()
+
+    extend(0, 0, 0, 0, [])
     return found
 
 

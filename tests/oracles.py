@@ -155,3 +155,26 @@ def brute_rho_k(g, k):
 
 def brute_alpha(g):
     return brute_rho_k(g, 1)
+
+
+def brute_minimal_covers(cover, full):
+    """{size: lowest mask} over the inclusion-minimal masks whose covers union
+    to full, by trying every mask in increasing order. Covers are closed
+    under adding members, so a cover is minimal when dropping any one member
+    leaves something of full uncovered."""
+
+    def union(members):
+        out = 0
+        for v in members:
+            out |= cover[v]
+        return out
+
+    found = {}
+    for mask in range(1 << len(cover)):
+        members = [v for v in range(len(cover)) if mask >> v & 1]
+        if union(members) & full != full:
+            continue
+        if any(union(members[:i] + members[i + 1:]) & full == full for i in range(len(members))):
+            continue
+        found.setdefault(len(members), mask)
+    return found

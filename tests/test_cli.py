@@ -94,6 +94,14 @@ def test_compute_rho_k_flag(tmp_path, capsys):
     assert code == 2 and "--k" in err
 
 
+@pytest.mark.parametrize("param", ["alpha", "gamma", "upper_gamma"])
+def test_compute_k_on_other_parameter_exits_2(tmp_path, capsys, param):
+    # alpha is rho_1, so an ignored --k 2 would print a value that is not rho_2
+    p7 = _write(tmp_path, "path:7", "p7.adj")
+    code, out, err = run_cli(capsys, "compute", param, p7, "--k", "2")
+    assert (code, out, err) == (2, "", "domlab: --k applies only to rho_k\n")
+
+
 def test_compute_missing_file(capsys):
     code, _, _ = run_cli(capsys, "compute", "gamma", "/nonexistent/g.adj")
     assert code == 2

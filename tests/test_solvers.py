@@ -9,7 +9,13 @@ import pytest
 
 import domlab
 
-from oracles import brute_gamma, brute_gamma_pr, brute_gamma_t, brute_upper_gamma
+from oracles import (
+    brute_gamma,
+    brute_gamma_pr,
+    brute_gamma_t,
+    brute_minimal_covers,
+    brute_upper_gamma,
+)
 
 from domlab.graphs import DomainError, Graph, ResourceError, VertexSet, bits_of
 from domlab.families import (
@@ -27,6 +33,7 @@ from domlab.families import (
 from domlab.products import direct_product, multiway_direct_complete, product_pairing_is_valid
 from domlab.solvers import (
     Budget,
+    _minimal_covers,
     appended_path_paired_witness,
     diagonal_paired_dominating,
     domination_number,
@@ -209,6 +216,44 @@ def test_search_node_counts_pinned():
     assert (p78.value, p78.nodes) == (16, 30098)
 
 
+def test_max_side_node_counts_pinned():
+    # upper_gamma, rho_k and alpha search trees: a change to their branching
+    # or pruning must update these on purpose. The budgeted runs end at the
+    # same node however cheap a node is.
+    lol = lollipop(complete(6), 2, 0)
+    u = upper_domination_number(direct_product(lol, lol)[0], Budget(max_nodes=1000))
+    assert (u.lo, u.hi, u.exact, u.nodes) == (20, 64, False, 1001)
+    assert u.witness.members() == [
+        0, 1, 2, 3, 4, 5, 7, 15, 23, 31, 39, 47, 55, 56, 57, 58, 59, 60, 61, 63,
+    ]
+    pp, _ = direct_product(pendant_pairs(path(4)), pendant_pairs(cycle(5)))
+    r = packing_number(pp, 3, Budget(max_nodes=50_000))
+    assert (r.lo, r.hi, r.exact, r.nodes) == (40, 180, False, 50_001)
+    assert r.witness.members() == [
+        80, 81, 82, 83, 84, 85, 86, 87, 88, 89,
+        110, 111, 112, 113, 114, 115, 116, 117, 118, 119,
+        126, 128, 130, 134, 141, 143, 145, 146, 147, 149,
+        156, 158, 160, 161, 162, 164, 171, 173, 175, 179,
+    ]
+    a = independence_number(pp, Budget(max_nodes=50_000))
+    assert (a.lo, a.hi, a.exact, a.nodes) == (90, 180, False, 50_001)
+    assert a.witness.members() == [
+        0, 1, 2, 3, 4, 6, 8, 10, 12, 14, 21, 23, 25, 27, 29,
+        30, 31, 32, 33, 34, 36, 38, 40, 42, 44, 51, 53, 55, 57, 59,
+        66, 68, 70, 72, 74, 75, 76, 77, 78, 79, 81, 83, 85, 87, 89,
+        90, 91, 92, 93, 94, 96, 98, 100, 102, 104, 111, 113, 115, 117, 119,
+        126, 128, 130, 132, 134, 135, 136, 137, 138, 139, 141, 143, 145, 147, 149,
+        150, 151, 152, 153, 154, 156, 158, 160, 162, 164, 171, 173, 175, 177, 179,
+    ]
+    r6 = upper_domination_number(rook2xn(6))
+    assert (r6.value, r6.nodes, r6.witness.members()) == (6, 63, [0, 1, 2, 3, 4, 5])
+    c5c6, _ = direct_product(cycle(5), cycle(6))
+    a56 = independence_number(c5c6)
+    assert (a56.value, a56.nodes, a56.witness.members()) == (15, 377, list(range(0, 30, 2)))
+    p56 = packing_number(c5c6, 2)
+    assert (p56.value, p56.nodes, p56.witness.members()) == (4, 871, [0, 9, 10, 13])
+
+
 # Direct products of order 14..16 on which the disjoint-coverer bound prunes
 # search nodes: gamma on all but P3xP5, gamma_t on all, gamma_pr on the three
 # K2 products. The brute-force gamma_pr stays under a second at these orders.
@@ -277,6 +322,37 @@ def test_upper_domination_agrees_with_exhaustive():
 def test_upper_domination_exhaustive_cap():
     with pytest.raises(ResourceError):
         upper_domination_exhaustive(path(21))
+
+
+def _cover_cases():
+    """(name, cover list, full): the closed and open covers of seeded random
+    graphs, and the shapes where extension prunes least (complete graphs,
+    where every single vertex is already a cover, and stars) or most (rook
+    graphs, with many small irredundant sets that are not covers)."""
+    rng = random.Random(97)
+    graphs = [
+        (f"G{i}", random_graph(rng.randrange(1, 13), rng.choice([0.15, 0.3, 0.5, 0.8]), 7000 + i))
+        for i in range(30)
+    ]
+    graphs += [(f"star{n}", star(n)) for n in (1, 5, 11)]
+    graphs += [(f"K{n}", complete(n)) for n in (1, 6, 12)]
+    graphs += [(f"rook2x{n}", rook2xn(n)) for n in range(3, 8)]
+    for name, g in graphs:
+        yield name + "/closed", [g.closed(v) for v in range(g.n)], g.full_bits()
+        if not any(row == 0 for row in g.adj):
+            yield name + "/open", list(g.adj), g.full_bits()
+    # an empty entry: the open covers of a graph with an isolated vertex, once
+    # against every vertex (nothing covers it) and once against the rest
+    g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (0, 4)])
+    yield "isolated/all", list(g.adj), g.full_bits()
+    yield "isolated/coverable", list(g.adj), g.full_bits() & ~(1 << 6)
+
+
+def test_minimal_covers_match_the_all_subsets_oracle():
+    cases = list(_cover_cases())
+    assert len(cases) == 63
+    for name, cover, full in cases:
+        assert _minimal_covers(cover, full) == brute_minimal_covers(cover, full), name
 
 
 def test_minimal_total_sizes():

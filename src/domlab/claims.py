@@ -110,10 +110,6 @@ def _members(vs: VertexSet):
     return sorted(vs.members())
 
 
-def _pair_indices(imap, pairs):
-    return sorted(imap.index(a, b) for a, b in pairs)
-
-
 def _isolated_free_graph(n, pct, seed):
     """Seeded random graph with no isolated vertex; bumps the seed until one appears."""
     s = seed

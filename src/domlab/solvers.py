@@ -24,9 +24,10 @@ where a cap computed from the coverer counts shows it cannot prune, and at
 the last pick. upper_gamma runs include/exclude branch-and-bound over
 irredundant sets (each member covers a vertex no other member covers) on
 masks of the vertices covered once and twice, and rho_k and alpha a maximum
-independent set search. One enumeration of minimal covers, extending
-irredundant sets instead of scanning all subsets, backs the upper_gamma
-fallback and oracle and the minimal total dominating sizes.
+independent set search bounded by the part count of a clique partition. One
+enumeration of minimal covers, extending irredundant sets instead of
+scanning all subsets, backs the upper_gamma fallback and oracle and the
+minimal total dominating sizes.
 
 All tie-breaks pick the lowest vertex or edge index, so witnesses are
 deterministic. Every solver takes an explicit budget; exceeding it yields an
@@ -487,12 +488,20 @@ def _upper_component(gc: Graph, tracker) -> _Part:
     addable when N[v] meets an uncovered vertex and, for each member d,
     misses one of d's private vertices N[d] & once & ~twice. N[] is
     symmetric, so the first holds on N[uncovered] and the second fails on
-    the intersection of N[u] over d's private vertices u."""
+    the intersection of N[u] over d's private vertices u.
+
+    The root's upper end is n - delta (Bollobas & Cockayne 1979) for a
+    minimal dominating set D: if a member d has a private vertex u outside
+    D, then u and N(u) - {d} lie outside D; if none has, D is independent
+    and any member u has N(u) outside D; either way |V - D| >= deg(u). It
+    serves only as the budget-hit hi and to skip the search when the
+    minimalized greedy meets it, so it moves no witness."""
     n = gc.n
     full = gc.full_bits()
     closed, ends = _vertex_elements(gc, False)
     inc_bits = _minimalize_bits(gc, bits_of(_greedy(closed, ends, full)))
     best = [inc_bits.bit_count(), inc_bits]
+    top = n - min(row.bit_count() for row in gc.adj)
 
     def rec(d_bits, banned, size, once, twice):
         tracker.tick()
@@ -521,12 +530,13 @@ def _upper_component(gc: Graph, tracker) -> _Part:
             rec(d_bits, banned | low, size, once, twice)
 
     try:
-        rec(0, 0, 0, 0, 0)
+        if best[0] < top:
+            rec(0, 0, 0, 0, 0)
         return _Part(best[0], best[0], best[1], True)
     except _BudgetExceeded:
         if n <= UPPER_SCAN_CAP:
             return _upper_exhaustive(gc)
-        return _Part(best[0], n, best[1], False)
+        return _Part(best[0], top, best[1], False)
 
 
 def upper_domination_number(g: Graph, budget: Budget | None = None) -> Certificate:
@@ -559,10 +569,93 @@ def upper_domination_exhaustive(g: Graph):
 # maximum-side: packings via maximum independent set
 
 
+def _clique_partition(gc: Graph) -> list[int]:
+    """Pairwise disjoint cliques covering gc, as masks; an independent set
+    meets each at most once, so their count bounds alpha from above.
+
+    Greedy cliques first: vertices in ascending degree (lowest index on
+    ties), each joining the first part it is adjacent to in full, else
+    starting its own. Then the size-1 and size-2 parts, read as a matching
+    with free vertices, grow by augmenting paths (free vertices in index
+    order, one breadth-first alternating tree each). Each path found is
+    simple, so the result stays a matching, and a maximum one when gc is
+    bipartite (no part is larger than 2 there), where the part count is
+    n - nu = alpha by Koenig's theorem."""
+    adj = gc.adj
+    parts = []
+    for v in sorted(range(gc.n), key=lambda v: adj[v].bit_count()):
+        for i, p in enumerate(parts):
+            if p & adj[v] == p:
+                parts[i] = p | 1 << v
+                break
+        else:
+            parts.append(1 << v)
+    small = 0
+    mate = [-1] * gc.n
+    for p in parts:
+        if p.bit_count() <= 2:
+            small |= p
+        if p.bit_count() == 2:
+            a, b = bit_indices(p)
+            mate[a], mate[b] = b, a
+
+    def augment(root):
+        prev = {}
+        seen = 1 << root
+        queue = [root]
+        for u in queue:
+            for w in bit_indices(adj[u] & small & ~seen):
+                prev[w] = u
+                if mate[w] < 0:
+                    while w >= 0:
+                        u = prev[w]
+                        nxt = mate[u]
+                        mate[u], mate[w] = w, u
+                        w = nxt
+                    return
+                seen |= 1 << w | 1 << mate[w]
+                queue.append(mate[w])
+
+    for v in bit_indices(small):
+        if mate[v] < 0:
+            augment(v)
+    parts = [p for p in parts if p.bit_count() > 2]
+    for v in bit_indices(small):
+        if mate[v] < 0:
+            parts.append(1 << v)
+        elif v < mate[v]:
+            parts.append(1 << v | 1 << mate[v])
+    seen = 0
+    for p in parts:
+        ensure(
+            not seen & p and all(p & ~adj[v] == 1 << v for v in bit_indices(p)),
+            "clique partition has a part that is not a clique or overlaps another",
+        )
+        seen |= p
+    ensure(seen == gc.full_bits(), "clique partition does not cover the graph")
+    return parts
+
+
 def _mis_component(gc: Graph, tracker) -> _Part:
+    """Maximum independent set of gc by branch and bound: take the isolated
+    vertices, then branch on the highest-degree vertex (lowest index on
+    ties), taking it first. The greedy (lowest degree first) gives the
+    starting best, and a node is pruned when its size plus the parts of a
+    clique partition (_clique_partition, built once) that meet the vertices
+    left cannot beat the best; no more parts than vertices meet them, so
+    this prunes wherever counting the vertices left would. It cuts only
+    subtrees holding no set larger than the best, and the best changes only
+    on a strict improvement, so the sequence of improvements and the
+    witness do not depend on it. The search is skipped when the greedy meets the part
+    count, and a budget-exhausted part reports the part count as hi."""
     n = gc.n
     full = gc.full_bits()
     adj = gc.adj
+    parts = _clique_partition(gc)
+    part_bit = [0] * n
+    for i, p in enumerate(parts):
+        for v in bit_indices(p):
+            part_bit[v] = 1 << i
     closed = [gc.closed(v) for v in range(n)]
     avail = full
     greedy_bits = 0
@@ -576,44 +669,48 @@ def _mis_component(gc: Graph, tracker) -> _Part:
                 best_v = v
         greedy_bits |= 1 << best_v
         avail &= ~closed[best_v]
-    best = [greedy_bits.bit_count(), greedy_bits]
-
-    def rec(avail, size, cur):
-        # One pass takes the isolated vertices and the highest-degree other
-        # vertex (lowest index on ties): an isolated vertex is nobody's
-        # neighbor, so taking it changes no other degree in avail.
-        tracker.tick()
-        iso = 0
-        best_v = -1
-        best_d = 0
-        scan = avail
-        while scan:
-            low = scan & -scan
-            scan ^= low
-            v = low.bit_length() - 1
-            d = (adj[v] & avail).bit_count()
-            if not d:
-                iso |= low
-            elif d > best_d:
-                best_d = d
-                best_v = v
-        cur |= iso
-        size += iso.bit_count()
-        avail &= ~iso
-        if size + avail.bit_count() <= best[0]:
-            return
-        if not avail:
-            best[0] = size
-            best[1] = cur
-            return
-        rec(avail & ~closed[best_v], size + 1, cur | 1 << best_v)
-        rec(avail & ~(1 << best_v), size, cur)
-
+    best, best_bits = greedy_bits.bit_count(), greedy_bits
+    # Depth-first on an explicit stack (a path can be thousands of levels
+    # deep): the taking child is pushed last, so it is explored first.
+    stack = [(full, 0, 0)] if best < len(parts) else []
     try:
-        rec(full, 0, 0)
-        return _Part(best[0], best[0], best[1], True)
+        while stack:
+            avail, size, cur = stack.pop()
+            tracker.tick()
+            # One pass takes the isolated vertices, finds the highest-degree
+            # other vertex (lowest index on ties) and marks the parts the
+            # others meet: an isolated vertex is nobody's neighbor, so taking
+            # it changes no other degree in avail, and its part meets avail
+            # only at itself.
+            iso = met = 0
+            pick = -1
+            pick_d = 0
+            scan = avail
+            while scan:
+                low = scan & -scan
+                scan ^= low
+                v = low.bit_length() - 1
+                d = (adj[v] & avail).bit_count()
+                if not d:
+                    iso |= low
+                    continue
+                met |= part_bit[v]
+                if d > pick_d:
+                    pick_d = d
+                    pick = v
+            cur |= iso
+            size += iso.bit_count()
+            avail &= ~iso
+            if size + met.bit_count() <= best:
+                continue
+            if not avail:
+                best, best_bits = size, cur
+                continue
+            stack.append((avail & ~(1 << pick), size, cur))
+            stack.append((avail & ~closed[pick], size + 1, cur | 1 << pick))
     except _BudgetExceeded:
-        return _Part(best[0], n, best[1], False)
+        return _Part(best, len(parts), best_bits, False)
+    return _Part(best, best, best_bits, True)
 
 
 def packing_number(g: Graph, k: int, budget: Budget | None = None) -> Certificate:

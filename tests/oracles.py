@@ -51,6 +51,26 @@ def is_connected(g):
     return g.n == 0 or min(_dist(g, 0)) >= 0
 
 
+def is_bipartite(g):
+    """Two-colours every component by BFS parity; False on an odd cycle."""
+    side = [-1] * g.n
+    for root in range(g.n):
+        if side[root] >= 0:
+            continue
+        side[root] = 0
+        q = deque([root])
+        while q:
+            u = q.popleft()
+            for v in range(g.n):
+                if g.adj[u] >> v & 1:
+                    if side[v] < 0:
+                        side[v] = 1 - side[u]
+                        q.append(v)
+                    elif side[v] == side[u]:
+                        return False
+    return True
+
+
 def brute_tree_form(n, edges):
     """Lexicographically least sorted edge list over all n! relabelings, and
     the number of relabelings that map the edge list onto itself (|Aut|)."""

@@ -1,5 +1,6 @@
 """Exact solvers: frozen values, certificates, budgets, witness constructions."""
 
+import inspect
 import os
 import random
 import subprocess
@@ -10,18 +11,31 @@ import pytest
 import domlab
 
 from oracles import (
+    brute_alpha,
     brute_gamma,
     brute_gamma_pr,
     brute_gamma_t,
     brute_minimal_covers,
+    brute_rho_k,
     brute_upper_gamma,
+    is_bipartite,
 )
 
-from domlab.graphs import DomainError, Graph, ResourceError, VertexSet, bits_of
+from domlab.graphs import (
+    DomainError,
+    Graph,
+    ResourceError,
+    VertexSet,
+    bits_of,
+    connected_components,
+    induced_subgraph,
+)
 from domlab.families import (
+    build_family,
     complete,
     cycle,
     lollipop,
+    parse_family_spec,
     path,
     pendant_pairs,
     random_graph,
@@ -33,6 +47,7 @@ from domlab.families import (
 from domlab.products import direct_product, multiway_direct_complete, product_pairing_is_valid
 from domlab.solvers import (
     Budget,
+    _clique_partition,
     _minimal_covers,
     appended_path_paired_witness,
     diagonal_paired_dominating,
@@ -219,16 +234,18 @@ def test_search_node_counts_pinned():
 def test_max_side_node_counts_pinned():
     # upper_gamma, rho_k and alpha search trees: a change to their branching
     # or pruning must update these on purpose. The budgeted runs end at the
-    # same node however cheap a node is.
+    # same node however cheap a node is. The greedy meets the clique-partition
+    # bound at the root for alpha(C5xC6) (bipartite, so the partition is
+    # exact) and for the pendant-pairs rho_3 and alpha.
     lol = lollipop(complete(6), 2, 0)
     u = upper_domination_number(direct_product(lol, lol)[0], Budget(max_nodes=1000))
-    assert (u.lo, u.hi, u.exact, u.nodes) == (20, 64, False, 1001)
+    assert (u.lo, u.hi, u.exact, u.nodes) == (20, 63, False, 1001)  # hi = n - delta
     assert u.witness.members() == [
         0, 1, 2, 3, 4, 5, 7, 15, 23, 31, 39, 47, 55, 56, 57, 58, 59, 60, 61, 63,
     ]
     pp, _ = direct_product(pendant_pairs(path(4)), pendant_pairs(cycle(5)))
     r = packing_number(pp, 3, Budget(max_nodes=50_000))
-    assert (r.lo, r.hi, r.exact, r.nodes) == (40, 180, False, 50_001)
+    assert (r.lo, r.hi, r.exact, r.nodes) == (40, 40, True, 0)
     assert r.witness.members() == [
         80, 81, 82, 83, 84, 85, 86, 87, 88, 89,
         110, 111, 112, 113, 114, 115, 116, 117, 118, 119,
@@ -236,7 +253,7 @@ def test_max_side_node_counts_pinned():
         156, 158, 160, 161, 162, 164, 171, 173, 175, 179,
     ]
     a = independence_number(pp, Budget(max_nodes=50_000))
-    assert (a.lo, a.hi, a.exact, a.nodes) == (90, 180, False, 50_001)
+    assert (a.lo, a.hi, a.exact, a.nodes) == (90, 90, True, 0)
     assert a.witness.members() == [
         0, 1, 2, 3, 4, 6, 8, 10, 12, 14, 21, 23, 25, 27, 29,
         30, 31, 32, 33, 34, 36, 38, 40, 42, 44, 51, 53, 55, 57, 59,
@@ -249,9 +266,96 @@ def test_max_side_node_counts_pinned():
     assert (r6.value, r6.nodes, r6.witness.members()) == (6, 63, [0, 1, 2, 3, 4, 5])
     c5c6, _ = direct_product(cycle(5), cycle(6))
     a56 = independence_number(c5c6)
-    assert (a56.value, a56.nodes, a56.witness.members()) == (15, 377, list(range(0, 30, 2)))
+    assert (a56.value, a56.nodes, a56.witness.members()) == (15, 0, list(range(0, 30, 2)))
     p56 = packing_number(c5c6, 2)
-    assert (p56.value, p56.nodes, p56.witness.members()) == (4, 871, [0, 9, 10, 13])
+    assert (p56.value, p56.nodes, p56.witness.members()) == (4, 535, [0, 9, 10, 13])
+
+
+def test_budget_hit_mis_reports_the_part_count():
+    g = build_family(parse_family_spec("random_graph:60:10#3"))
+    c = independence_number(g, Budget(max_nodes=200))
+    assert (c.lo, c.hi, c.exact, c.nodes) == (23, 25, False, 201)
+    assert is_k_packing(g, c.witness, 1) and len(c.witness) == c.lo
+    x = independence_number(g)
+    assert (x.value, x.nodes) == (24, 921)
+
+
+def test_mis_search_depth_is_not_bounded_by_the_call_stack():
+    # An odd cycle is not closed at the root, and its search path runs
+    # through hundreds of include and exclude levels.
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        c = independence_number(cycle(501))
+    finally:
+        sys.setrecursionlimit(old)
+    assert (c.value, c.nodes) == (250, 503)
+
+
+def _mis_cases():
+    """Seeded random graphs of order 1..14, sparse (often bipartite) to dense."""
+    rng = random.Random(101)
+    for i in range(60):
+        yield random_graph(rng.randrange(1, 15), rng.choice([0.1, 0.2, 0.35, 0.5, 0.8]), 11000 + i)
+
+
+def test_packings_match_the_oracles():
+    for g in _mis_cases():
+        assert independence_number(g).value == brute_alpha(g), g.label
+        for k in (1, 2, 3):
+            c = packing_number(g, k)
+            assert c.value == brute_rho_k(g, k) == len(c.witness), (g.label, k)
+            assert is_k_packing(g, c.witness, k)
+
+
+def test_clique_partition_is_a_cover_by_disjoint_cliques():
+    graphs = list(_mis_cases())
+    graphs += [random_tree(n, 40 + n) for n in range(1, 15)]
+    graphs += [direct_product(cycle(5), cycle(6))[0], rook2xn(5), complete(6), Graph(4)]
+    bipartite = 0
+    for g in graphs:
+        parts = _clique_partition(g)
+        seen = 0
+        for p in parts:
+            assert p and not seen & p, g.label
+            members = VertexSet(g, p).members()
+            assert all(g.adj[u] >> w & 1 for u in members for w in members if u != w), g.label
+            seen |= p
+        assert seen == g.full_bits(), g.label
+        alpha = brute_alpha(g) if g.n <= 14 else independence_number(g).value
+        assert len(parts) >= alpha, g.label
+        if is_bipartite(g):
+            # the size-2 parts are a maximum matching: n - nu = alpha (Koenig)
+            assert len(parts) == alpha, g.label
+            bipartite += 1
+    assert bipartite >= 20
+
+
+def test_upper_gamma_root_bound_against_exhaustive():
+    # Gamma <= n - delta on each component: the search is skipped where the
+    # minimalized greedy meets it, and a budget-hit part above the
+    # exhaustive fallback's order cap reports it as hi.
+    rng = random.Random(103)
+    skipped = checked = 0
+    for trial in range(200):
+        g = random_graph(rng.randrange(2, 13), rng.choice([0.3, 0.5, 0.8, 0.95]), 12000 + trial)
+        if any(g.degree(v) == 0 for v in range(g.n)):
+            continue
+        value, _ = upper_domination_exhaustive(g)
+        c = upper_domination_number(g)
+        assert c.value == value, g.label
+        for comp in connected_components(g):
+            sub, _ = induced_subgraph(g, VertexSet(g, comp))
+            assert upper_domination_exhaustive(sub)[0] <= sub.n - min(map(int.bit_count, sub.adj))
+        skipped += c.nodes == 0
+        checked += 1
+    assert checked >= 150 and skipped >= 10
+    g = random_graph(21, 0.3, 300)
+    top = g.n - min(map(int.bit_count, g.adj))
+    two = Graph(42, list(g.edges()) + [(u + 21, v + 21) for u, v in g.edges()])
+    for h, hi in ((g, top), (two, 2 * top)):
+        c = upper_domination_number(h, Budget(max_nodes=1))
+        assert not c.exact and c.hi == hi >= upper_domination_number(h).value
 
 
 # Direct products of order 14..16 on which the disjoint-coverer bound prunes

@@ -7,7 +7,22 @@ homed on different graphs cannot be mixed by accident.
 
 from __future__ import annotations
 
+import json
+import re
+from itertools import compress, repeat
+from operator import add, lt, mul
+
 ORDER_CAP = 20000  # one desk-scale ceiling: constructed, materialized and read graphs
+
+# Graph text is read in slices of about this many characters, each cut after
+# a line break, so the reader's working memory stays bounded by the slice.
+_SLICE_CHARS = 1 << 16
+
+# A run of well-formed edge lines. Indices below ORDER_CAP have at most five
+# digits; a longer number fails the match, and the line-by-line path words it.
+_EDGE_LINES = re.compile(r"(?:(?:0|[1-9][0-9]{0,4}) (?:0|[1-9][0-9]{0,4})\n)*")
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")  # binary digits to 0/1 selectors
 
 
 class DomainError(ValueError):
@@ -262,18 +277,46 @@ def induced_subgraph(g: Graph, s: VertexSet):
 
 
 def write_graph_text(g: Graph, comment: str | None = None) -> str:
-    """Canonical text form: optional # comments, 'n m' header, sorted 'u v' lines."""
-    lines = []
+    """Canonical text form: optional # comments, 'n m' header, sorted 'u v' lines.
+
+    Row u contributes one string, its lines naming the bits of adj[u] above
+    u. A row dense over its span is decoded from its binary digits in C; a
+    sparse one bit by bit from the top, so a far neighbour costs one big-int
+    step, not a scan of the span. Besides the result, the working memory is
+    the decimal names and one string per row, not one per edge."""
+    out = []
     if comment:
-        for c in str(comment).splitlines():
-            lines.append(f"# {c}" if c else "#")
-    lines.append(f"{g.n} {g.m}")
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+        out.extend(f"# {c}\n" if c else "#\n" for c in str(comment).splitlines())
+    header = len(out)
+    out.append("")  # filled in once the edges are counted
+    names = list(map(str, range(g.n)))
+    m = 0
+    for u, row in enumerate(g.adj):
+        above = row >> (u + 1)
+        if not above:
+            continue
+        width, count = above.bit_length(), above.bit_count()
+        m += count
+        if count * 32 >= width:  # a set bit per 32 of span: decoding digits is cheaper
+            digits = bin(above)[:1:-1].encode().translate(_BIT_BYTES)
+            ends = compress(names[u + 1 : u + 1 + width], digits)
+        else:
+            ends = []
+            while above:
+                top = above.bit_length() - 1
+                ends.append(names[u + 1 + top])
+                above ^= 1 << top
+            ends.reverse()
+        lead = names[u] + " "
+        out.append(lead + ("\n" + lead).join(ends) + "\n")
+    out[header] = f"{g.n} {m}\n"
+    return "".join(out)
 
 
 def _read_pair(line: str, what: str):
     """The two integers of a data line that must read exactly 'a b'."""
+    if line.strip() == "":
+        raise FormatError("blank line in graph text")
     parts = line.split(" ")
     if len(parts) != 2:
         raise FormatError(f"{what} must be two integers: {line!r}")
@@ -286,33 +329,88 @@ def _read_pair(line: str, what: str):
     return a, b
 
 
+def _line_end(text: str, pos: int) -> int:
+    """Index just past the line break that ends the line at pos, or the
+    text's length when no line break follows."""
+    return text.find("\n", pos) + 1 or len(text)
+
+
+def _slice_end(text: str, pos: int) -> int:
+    """End of the slice that starts at pos: just past its last line break
+    within _SLICE_CHARS characters (past the first one beyond them when a
+    single line is longer), or the text's end when that is nearer."""
+    cap = pos + _SLICE_CHARS
+    if cap >= len(text):
+        return len(text)
+    return text.rfind("\n", pos, cap) + 1 or _line_end(text, cap)
+
+
+def _edge_error(us, vs, n: int, last: int):
+    """Raises FormatError naming the first pair that breaks 0 <= u < v < n or
+    the strict order after key last (u*n + v of the previous pair)."""
+    for u, v in zip(us, vs):
+        if not 0 <= u < v < n:
+            raise FormatError(f"edge ({u},{v}) violates 0 <= u < v < n")
+        if u * n + v <= last:
+            raise FormatError("edge lines not strictly sorted")
+        last = u * n + v
+
+
 def read_graph_text(text: str) -> Graph:
     """Strict reader for the canonical text form; any violation raises
-    FormatError, and an order above ORDER_CAP raises ResourceError."""
-    data = []
-    for raw in text.splitlines():
-        if raw.startswith("#"):
-            continue
-        if raw.strip() == "":
-            raise FormatError("blank line in graph text")
-        data.append(raw)
-    if not data:
+    FormatError, and an order above ORDER_CAP raises ResourceError. Only a
+    newline ends a line.
+
+    The edge block is read in slices of about _SLICE_CHARS characters cut
+    after a line break. One regex match checks a slice's line shapes, its
+    numbers are converted in one call, and the range and strict-order checks
+    run over whole lists, the last key u*n + v carried from slice to slice.
+    A slice that fails the match (a comment line or an error) goes line by
+    line through _read_pair, the one place that words a line error. Slicing
+    bounds the working memory beyond the text and the adjacency rows: lists
+    of the numbers of the whole block would cost more than the rows."""
+    pos = 0
+    while text.startswith("#", pos):
+        pos = _line_end(text, pos)
+    if pos == len(text):
         raise FormatError("missing 'n m' header line")
-    n, m = _read_pair(data[0], "header")
+    end = _line_end(text, pos)
+    n, m = _read_pair(text[pos:end].removesuffix("\n"), "header")
     if n < 0 or m < 0:
         raise FormatError("negative header value")
     if n > ORDER_CAP:
         raise ResourceError(f"graph text order {n} exceeds the {ORDER_CAP}-vertex cap")
-    if len(data) - 1 != m:
-        raise FormatError(f"expected {m} edge lines, found {len(data) - 1}")
-    edges = []
-    prev = None
-    for line in data[1:]:
-        u, v = _read_pair(line, "edge line")
-        if not 0 <= u < v < n:
-            raise FormatError(f"edge ({u},{v}) violates 0 <= u < v < n")
-        if prev is not None and (u, v) <= prev:
-            raise FormatError("edge lines not strictly sorted")
-        prev = (u, v)
-        edges.append((u, v))
-    return Graph(n, edges)
+    rows = [0] * n
+    count, last = 0, -1
+    pos = end
+    while pos < len(text):
+        end = _slice_end(text, pos)
+        chunk = text[pos:end]
+        pos = end
+        if not chunk.endswith("\n"):
+            chunk += "\n"
+        if _EDGE_LINES.fullmatch(chunk):
+            # only digits, single spaces and line breaks: a JSON list of ints
+            nums = json.loads("[" + chunk[:-1].replace(" ", ",").replace("\n", ",") + "]")
+            us, vs = nums[::2], nums[1::2]
+        else:
+            lines = chunk[:-1].split("\n")
+            pairs = [_read_pair(line, "edge line") for line in lines if not line.startswith("#")]
+            us, vs = [u for u, _ in pairs], [v for _, v in pairs]
+        count += len(us)
+        if count > m:
+            raise FormatError(f"expected {m} edge lines, found more")
+        if not us:
+            continue
+        # Keys rise from above -1, which with v < n also keeps every u >= 0.
+        keys = list(map(add, map(mul, us, repeat(n)), vs))
+        if not (max(vs) < n and all(map(lt, us, vs))
+                and last < keys[0] and all(map(lt, keys, keys[1:]))):
+            _edge_error(us, vs, n, last)
+        last = keys[-1]
+        for u, v in zip(us, vs):
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    if count != m:
+        raise FormatError(f"expected {m} edge lines, found {count}")
+    return Graph.from_rows(rows)

@@ -2,11 +2,14 @@
 
 Everything here enumerates subsets directly and reimplements the predicates
 from scratch (queue BFS, recursive matching), sharing only the Graph container
-with the package. Intended for orders up to about 10.
+(and, for the graph text reader, the error types and the order cap) with the
+package. Intended for orders up to about 10.
 """
 
 from collections import deque
 from itertools import permutations
+
+from domlab.graphs import ORDER_CAP, FormatError, Graph, ResourceError
 
 
 def _closed(g, v):
@@ -198,3 +201,62 @@ def brute_minimal_covers(cover, full):
             continue
         found.setdefault(len(members), mask)
     return found
+
+
+def brute_write_graph_text(g, comment=None):
+    """The canonical text form written one f-string per edge."""
+    lines = []
+    if comment:
+        for c in str(comment).splitlines():
+            lines.append(f"# {c}" if c else "#")
+    lines.append(f"{g.n} {g.m}")
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"
+
+
+def _brute_read_pair(line, what):
+    parts = line.split(" ")
+    if len(parts) != 2:
+        raise FormatError(f"{what} must be two integers: {line!r}")
+    try:
+        a, b = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise FormatError(f"non-integer {what}: {line!r}") from None
+    if line != f"{a} {b}":
+        raise FormatError(f"non-canonical {what}: {line!r}")
+    return a, b
+
+
+def brute_read_graph_text(text):
+    """The strict reader line by line: every line is split, parsed and
+    checked on its own, and Graph re-checks every edge. str.splitlines also
+    breaks lines at carriage returns, form feeds, U+2028 and the other
+    Unicode line boundaries, where the package reader breaks at newlines
+    only."""
+    data = []
+    for raw in text.splitlines():
+        if raw.startswith("#"):
+            continue
+        if raw.strip() == "":
+            raise FormatError("blank line in graph text")
+        data.append(raw)
+    if not data:
+        raise FormatError("missing 'n m' header line")
+    n, m = _brute_read_pair(data[0], "header")
+    if n < 0 or m < 0:
+        raise FormatError("negative header value")
+    if n > ORDER_CAP:
+        raise ResourceError(f"graph text order {n} exceeds the {ORDER_CAP}-vertex cap")
+    if len(data) - 1 != m:
+        raise FormatError(f"expected {m} edge lines, found {len(data) - 1}")
+    edges = []
+    prev = None
+    for line in data[1:]:
+        u, v = _brute_read_pair(line, "edge line")
+        if not 0 <= u < v < n:
+            raise FormatError(f"edge ({u},{v}) violates 0 <= u < v < n")
+        if prev is not None and (u, v) <= prev:
+            raise FormatError("edge lines not strictly sorted")
+        prev = (u, v)
+        edges.append((u, v))
+    return Graph(n, edges)

@@ -7,7 +7,7 @@ import pytest
 from domlab import cli
 from domlab.cli import main
 from domlab.families import build_family, cycle, parse_family_spec
-from domlab.graphs import read_graph_text, write_graph_text
+from domlab.graphs import FormatError, read_graph_text, write_graph_text
 from domlab.products import direct_product
 from domlab.solvers import domination_number
 
@@ -112,6 +112,18 @@ def test_compute_malformed_file(tmp_path, capsys):
     bad.write_text("3 2\n2 1\n0 1\n")
     code, _, _ = run_cli(capsys, "compute", "gamma", str(bad))
     assert code == 2
+
+
+def test_compute_loads_crlf_files(tmp_path, capsys):
+    """Text-mode open turns CRLF into newlines, so a CRLF file loads like its
+    newline twin, while the reader itself rejects a carriage return."""
+    lf, crlf = tmp_path / "lf.adj", tmp_path / "crlf.adj"
+    lf.write_bytes(b"3 2\n0 1\n1 2\n")
+    crlf.write_bytes(b"3 2\r\n0 1\r\n1 2\r\n")
+    got = run_cli(capsys, "compute", "gamma", str(crlf))
+    assert got[0] == 0 and got == run_cli(capsys, "compute", "gamma", str(lf))
+    with pytest.raises(FormatError):
+        read_graph_text("3 2\r\n0 1\r\n1 2\r\n")
 
 
 def test_compute_domain_guard(tmp_path, capsys):

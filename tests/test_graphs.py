@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from domlab import graphs
 from domlab.graphs import (
     ORDER_CAP,
     DomainError,
@@ -23,7 +24,8 @@ from domlab.graphs import (
     read_graph_text,
     write_graph_text,
 )
-from domlab.families import cycle, path, random_graph, star
+from domlab.families import cycle, lollipop, path, pendant_pairs, random_graph, star
+from oracles import brute_read_graph_text, brute_write_graph_text
 
 
 def test_bitset_round_trip():
@@ -178,6 +180,9 @@ def test_text_format_comments_allowed_blank_lines_rejected():
         "2 1\n0  1\n",  # double space
         "2 1 \n0 1\n",  # trailing space in the header
         "02 1\n0 1\n",  # leading zero in the header
+        "2 1\r0 1\n",  # only a newline ends a line
+        "2 1\x0c0 1\n",
+        "2 1\u20280 1\n",
     ],
 )
 def test_text_format_rejections(text):
@@ -189,3 +194,115 @@ def test_text_format_order_cap():
     assert read_graph_text(f"{ORDER_CAP} 0\n").n == ORDER_CAP
     with pytest.raises(ResourceError):
         read_graph_text(f"{ORDER_CAP + 1} 0\n")
+
+
+# Mutation characters for the differential test: digits, the separators, the
+# comment mark and characters int() or str.split treat specially. '\r' is left
+# out: str.splitlines in the oracle breaks lines there, the reader does not.
+_MUTATION_ALPHABET = "0123456789 \n#-+_x\t"
+
+
+def _mutate(rng, text):
+    """One or two single-character insertions, substitutions or deletions."""
+    for _ in range(rng.choice((1, 2))):
+        i = rng.randrange(len(text) + 1)
+        c = rng.choice(_MUTATION_ALPHABET)
+        op = rng.randrange(3)
+        if op == 0:
+            text = text[:i] + c + text[i:]
+        elif op == 1:
+            text = text[:i] + c + text[i + 1:]
+        else:
+            text = text[:i] + text[i + 1:]
+    return text
+
+
+def _outcome(read, text):
+    """(n, adj) of the graph read, or None when the text is rejected."""
+    try:
+        g = read(text)
+    except (FormatError, ResourceError):
+        return None
+    return g.n, g.adj
+
+
+@pytest.mark.parametrize("slice_chars", [graphs._SLICE_CHARS, 7])
+def test_reader_agrees_with_the_line_by_line_oracle(monkeypatch, slice_chars):
+    """Mutated canonical texts, with comments at the top and inside the edge
+    block: the reader accepts exactly what the oracle accepts, as the same
+    graph. A 7-character slice holds about one line, so every line break is
+    also a slice boundary and lines longer than a slice occur."""
+    monkeypatch.setattr(graphs, "_SLICE_CHARS", slice_chars)
+    rng = random.Random(47)
+    accepted = 0
+    trials = 2500
+    for trial in range(trials):
+        g = random_graph(rng.randrange(1, 12), rng.random(), seed=4700 + trial)
+        lines = brute_write_graph_text(g, rng.choice([None, "note", "two\nlines"])).splitlines(True)
+        if rng.random() < 0.3:
+            lines.insert(rng.randrange(len(lines) + 1), "# inside\n")
+        text = _mutate(rng, "".join(lines))
+        want = _outcome(brute_read_graph_text, text)
+        assert _outcome(read_graph_text, text) == want, repr(text)
+        accepted += want is not None
+    assert trials // 10 < accepted < trials * 9 // 10
+
+
+def test_writer_matches_the_line_by_line_oracle():
+    """Byte for byte, over dense rows (decoded from binary digits) and sparse
+    rows with far neighbours (walked bit by bit)."""
+    rng = random.Random(53)
+    cases = [pendant_pairs(cycle(40)), lollipop(random_graph(30, 0.9, seed=1), 60, 7)]
+    for trial in range(120):
+        n = rng.randrange(1, 150)
+        cases.append(random_graph(n, rng.choice([0.003, 0.02, 0.1, 0.5, 0.97]), seed=5300 + trial))
+    for g in cases:
+        comment = rng.choice([None, "", "one", "two\nlines", "gap\n\nhere"])
+        assert write_graph_text(g, comment) == brute_write_graph_text(g, comment)
+
+
+def _slice_starts(text):
+    """Where each slice of the edge block starts: after the header line, then
+    after the last newline within graphs._SLICE_CHARS characters."""
+    pos, starts = text.index("\n") + 1, []
+    while pos < len(text):
+        starts.append(pos)
+        pos = text.rfind("\n", pos, pos + graphs._SLICE_CHARS) + 1
+    return starts
+
+
+def test_edge_checks_carry_across_slices():
+    """The order check and the edge count run over the whole block, not per
+    slice: a duplicate or a swap placed exactly across a slice boundary and a
+    count that is off by one line only in the last slice are all rejected."""
+    g = pendant_pairs(cycle(6666))
+    text = write_graph_text(g)
+    assert text == brute_write_graph_text(g)
+    starts = _slice_starts(text)
+    assert len(starts) > 3
+    assert read_graph_text(text).adj == g.adj
+
+    def around(cut):
+        """The line that ends at cut and the line that starts there."""
+        return text[text.rindex("\n", 0, cut - 1) + 1:cut], text[cut:text.index("\n", cut) + 1]
+
+    # a boundary between two lines of equal length, so swapping them moves no cut
+    cut = next(c for c in starts[1:] if len(set(map(len, around(c)))) == 1)
+    last, first = around(cut)
+    duplicate = text[:cut] + last + text[cut + len(first):]
+    swapped = text[:cut - len(last)] + first + last + text[cut + len(first):]
+    for bad in (duplicate, swapped):
+        assert cut in _slice_starts(bad)  # the two lines still straddle the boundary
+        with pytest.raises(FormatError, match="sorted"):
+            read_graph_text(bad)
+
+    # Comment lines at the boundary and a missing final newline are fine.
+    commented = text[:cut] + "# boundary\n" + text[cut:]
+    assert read_graph_text(commented).adj == g.adj
+    assert read_graph_text(text[:-1]).adj == g.adj
+
+    n, m = g.n, g.m
+    assert text.startswith(f"{n} {m}\n")
+    for header in (f"{n} {m + 1}\n", f"{n} {m - 1}\n"):  # one line short, one extra
+        with pytest.raises(FormatError, match="edge lines"):
+            read_graph_text(header + text[text.index("\n") + 1:])

@@ -2,7 +2,14 @@
 total, paired, upper) together with packings, on graphs built from product
 constructions."""
 
-from .claims import ClaimReport, ratio_scan, run_suite, SUITE_ORDER
+from .claims import (
+    SUITE_ORDER,
+    ClaimReport,
+    appended_path_paired_witness,
+    pendant_product_dominating,
+    ratio_scan,
+    run_suite,
+)
 from .families import (
     FamilySpec,
     build_family,
@@ -46,8 +53,6 @@ from .products import (
 from .solvers import (
     Budget,
     Certificate,
-    appended_path_paired_witness,
-    diagonal_paired_dominating,
     domination_number,
     independence_number,
     is_dominating,
@@ -61,7 +66,6 @@ from .solvers import (
     paired_domination_number,
     pair_up_dominating,
     pairing_is_valid,
-    pendant_product_dominating,
     private_neighbors,
     total_domination_number,
     upper_domination_exhaustive,

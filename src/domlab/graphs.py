@@ -132,7 +132,8 @@ class Graph:
 
 
 class VertexSet:
-    """Bitset of vertices tied to its home graph; mixing homes is rejected."""
+    """Bitset of vertices tied to its home graph; the predicates reject a set
+    homed on another graph (homed_bits)."""
 
     __slots__ = ("home", "bits")
 
@@ -145,11 +146,6 @@ class VertexSet:
     @classmethod
     def of(cls, home: Graph, indices) -> "VertexSet":
         return cls(home, bits_of(indices))
-
-    def _mate(self, other: "VertexSet") -> int:
-        if not isinstance(other, VertexSet) or other.home is not self.home:
-            raise DomainError("vertex sets have different home graphs")
-        return other.bits
 
     def members(self) -> list[int]:
         return bit_indices(self.bits)
@@ -172,23 +168,6 @@ class VertexSet:
 
     def __hash__(self):
         return hash((id(self.home), self.bits))
-
-    def union(self, other):
-        return VertexSet(self.home, self.bits | self._mate(other))
-
-    def intersection(self, other):
-        return VertexSet(self.home, self.bits & self._mate(other))
-
-    def difference(self, other):
-        return VertexSet(self.home, self.bits & ~self._mate(other))
-
-    def add(self, v: int):
-        if not 0 <= v < self.home.n:
-            raise IndexError(f"vertex {v} out of range")
-        return VertexSet(self.home, self.bits | 1 << v)
-
-    def discard(self, v: int):
-        return VertexSet(self.home, self.bits & ~(1 << v))
 
     def __repr__(self):
         return f"VertexSet({self.members()})"

@@ -1,6 +1,8 @@
 """Exact solvers for the domination chain with certificates, the predicate
-checkers they certify against, and the constructive witnesses used by the
-claim harness.
+checkers they certify against, and the dominating-set surgery they share
+(minimalizing a dominating set, pairing it up). The module builds on graphs
+and matching only; the witness constructors on complete-graph products live
+with the claim checks that use them.
 
 Parameters use their standard tags: gamma (domination), gamma_t (total),
 gamma_pr (paired), upper_gamma (largest minimal dominating set), rho_k
@@ -41,7 +43,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .families import lollipop
 from .graphs import (
     DomainError,
     Graph,
@@ -60,11 +61,6 @@ from .graphs import (
     open_cover_bits,
 )
 from .matching import has_perfect_matching
-from .products import (
-    implicit_direct_domination_check,
-    multiway_direct_complete,
-    product_pairing_is_valid,
-)
 
 DEFAULT_NODE_BUDGET = 2_000_000
 UPPER_SCAN_CAP = 20  # order cap of the exhaustive upper_gamma enumeration
@@ -781,122 +777,6 @@ def pair_up_dominating(g: Graph, s: VertexSet):
         "paired-up set is not paired dominating",
     )
     return result, pairing
-
-
-# ---------------------------------------------------------------------------
-# constructive witnesses on complete-graph products
-
-
-def _mixed_radix_weights(orders):
-    w = [1] * len(orders)
-    for i in range(len(orders) - 2, -1, -1):
-        w[i] = w[i + 1] * orders[i + 1]
-    return w
-
-
-def diagonal_paired_dominating(orders):
-    """The constant-tuple witness on a product of complete graphs: tuples
-    (i,...,i) for i = 0..t, plus (1,0,...,0) when t is even. Returns
-    (graph, witness, pairing); size t+1 for odd t, t+2 for even t."""
-    orders = list(orders)
-    t = len(orders)
-    if t < 3:
-        raise DomainError("need at least 3 factors")
-    if min(orders) < t + 1:
-        raise DomainError("factor orders must be at least t+1")
-    g = multiway_direct_complete(orders)
-    w = _mixed_radix_weights(orders)
-    step = sum(w)
-    diag = [i * step for i in range(t + 1)]
-    members = list(diag)
-    pairing = [(diag[2 * i], diag[2 * i + 1]) for i in range((t + 1) // 2)]
-    if t % 2 == 0:
-        extra = w[0]
-        members.append(extra)
-        pairing.append((min(diag[t], extra), max(diag[t], extra)))
-    vs = VertexSet(g, bits_of(members))
-    pairing = tuple(sorted(pairing))
-    ensure(
-        is_dominating(g, vs) and pairing_is_valid(g, vs, pairing),
-        "diagonal witness is not paired dominating",
-    )
-    return g, vs, pairing
-
-
-def appended_path_paired_witness(orders, ell: int):
-    """Paired dominating witness on a complete-graph product with a length-ell
-    path appended at the all-zero tuple. Returns (graph, witness, pairing);
-    sizes follow the diagonal witness plus one vertex per path step (plus the
-    (1,0,...,0) filler when parity demands it)."""
-    orders = list(orders)
-    t = len(orders)
-    if t < 3:
-        raise DomainError("need at least 3 factors")
-    if min(orders) < t + 1:
-        raise DomainError("factor orders must be at least t+1")
-    base = multiway_direct_complete(orders)
-    g = lollipop(base, ell, 0)
-    w = _mixed_radix_weights(orders)
-    step = sum(w)
-    diag = [i * step for i in range(t + 1)]
-    extra = w[0]
-    tail = [base.n + i for i in range(ell)]
-    if t % 2 == 1 and ell % 2 == 0:
-        members = diag + tail
-        pairing = [(diag[2 * i], diag[2 * i + 1]) for i in range((t + 1) // 2)]
-        pairing += [(tail[2 * i], tail[2 * i + 1]) for i in range(ell // 2)]
-    elif t % 2 == 1:
-        members = diag + [extra] + tail
-        pairing = [(diag[0], tail[0])]
-        pairing += [(tail[2 * i + 1], tail[2 * i + 2]) for i in range((ell - 1) // 2)]
-        pairing += [(diag[2 * i + 1], diag[2 * i + 2]) for i in range((t - 1) // 2)]
-        pairing += [(min(diag[t], extra), max(diag[t], extra))]
-    elif ell % 2 == 0:
-        members = diag + [extra] + tail
-        pairing = [(diag[2 * i], diag[2 * i + 1]) for i in range(t // 2)]
-        pairing += [(min(diag[t], extra), max(diag[t], extra))]
-        pairing += [(tail[2 * i], tail[2 * i + 1]) for i in range(ell // 2)]
-    else:
-        # even t with an odd tail has no clean closed form; double a dominating set
-        seed = VertexSet(g, bits_of(diag + [extra] + tail))
-        return (g,) + pair_up_dominating(g, seed)
-    vs = VertexSet(g, bits_of(members))
-    pairing = tuple(sorted(pairing))
-    ensure(
-        is_dominating(g, vs) and pairing_is_valid(g, vs, pairing),
-        "appended-path witness is not paired dominating",
-    )
-    return g, vs, pairing
-
-
-def pendant_product_dominating(g, h, v, base_members, base_pairing, side, side_pairing):
-    """Dominating set of (g plus a pendant at v) x h: the base paired witness on
-    g x h plus the column {v} x D_h. Returns (extended graph, member pairs).
-
-    Both input witnesses are validated (paired domination implies open-side
-    coverage, which is what the new pendant column needs); invalid or empty
-    witnesses raise DomainError."""
-    if not 0 <= v < g.n:
-        raise IndexError(f"attachment vertex {v} out of range")
-    members = sorted(set(map(tuple, base_members)))
-    if not members:
-        raise DomainError("empty base witness")
-    side_bits = homed_bits(h, side)
-    if not side_bits:
-        raise DomainError("empty pendant-side witness")
-    if not implicit_direct_domination_check(g, h, members):
-        raise DomainError("base witness does not dominate the product")
-    if not product_pairing_is_valid(g, h, members, base_pairing):
-        raise DomainError("base witness pairing is not a perfect matching of edges")
-    if not (is_dominating(h, side) and pairing_is_valid(h, side, side_pairing)):
-        raise DomainError("pendant-side witness is not paired dominating")
-    g_prime = lollipop(g, 1, v)
-    out = sorted(set(members) | {(v, b) for b in bit_indices(side_bits)})
-    ensure(
-        implicit_direct_domination_check(g_prime, h, out),
-        "pendant product set does not dominate",
-    )
-    return g_prime, tuple(out)
 
 
 # ---------------------------------------------------------------------------

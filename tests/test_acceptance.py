@@ -27,7 +27,6 @@ from domlab.graphs import Graph, VertexSet, bits_of, has_isolated_vertex
 from domlab.families import complete, pendant_pairs, random_graph, rook2xn
 from domlab.products import direct_product, multiway_direct_complete
 from domlab.solvers import (
-    diagonal_paired_dominating,
     domination_number,
     independence_number,
     is_dominating,
@@ -42,6 +41,7 @@ from domlab.solvers import (
     upper_domination_number,
 )
 from domlab.claims import (
+    appended_path_paired_witness,
     check_lollipop_product_witness,
     check_tree_paired_packing_identity,
     check_tree_product_half_bound,
@@ -78,7 +78,7 @@ def test_criterion_01_complete_product_values():
 
 def test_criterion_02_even_factor_diagonal_witness():
     t0 = time.monotonic()
-    g, s, pairing = diagonal_paired_dominating([5, 5, 5, 5])
+    g, s, pairing = appended_path_paired_witness([5, 5, 5, 5], 0)
     last_diag = 4 * (125 + 25 + 5 + 1)
     unit = 125
     ok = (

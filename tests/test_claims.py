@@ -1,11 +1,14 @@
 """Claim harness: statuses, embedded-witness re-validation, determinism."""
 
+import dataclasses
 import json
 from math import factorial
 
 import pytest
 from oracles import brute_tree_form, is_connected
 
+from domlab import claims
+from domlab.cli import main as cli_main
 from domlab.graphs import DomainError, VertexSet, bits_of, closed_cover_bits
 from domlab.families import complete, cycle, lollipop, path, pendant_pairs, rook2xn, subdivided_star
 from domlab.products import direct_product, implicit_direct_domination_check, multiway_direct_complete
@@ -209,3 +212,63 @@ def test_distinct_trees_counts():
         assert len({tuple(e) for e in reps}) == len(reps)
         # Cayley: the labelings of all shapes together are every labeled tree
         assert sum(factorial(n) // auts for _, auts in forms) == n ** (n - 2)
+
+
+# the status of a report is the worst outcome recorded in it
+
+
+def _patch_results(monkeypatch, name, edits):
+    """Rebinds the claims module's solver `name` so that its i-th call
+    returns edits[i] applied to the real certificate; later calls pass."""
+    real = getattr(claims, name)
+    calls = []
+
+    def patched(*args, **kwargs):
+        cert = real(*args, **kwargs)
+        calls.append(name)
+        return edits[len(calls) - 1](cert) if len(calls) <= len(edits) else cert
+
+    monkeypatch.setattr(claims, name, patched)
+
+
+def _same(cert):
+    return cert
+
+
+def _wrong(cert):
+    return dataclasses.replace(cert, lo=0, hi=0)
+
+
+def _unsettled(cert):
+    return dataclasses.replace(cert, exact=False, hi=cert.hi + 2)
+
+
+def test_wrong_value_then_unsettled_is_refuted_for_complete_products(monkeypatch):
+    _patch_results(monkeypatch, "paired_domination_number", [_wrong, _unsettled])
+    rep = claims.check_complete_products_paired(
+        exact_order_lists=((4, 4, 4), (5, 5, 5)), bound_budget=Budget(max_nodes=1_000)
+    )
+    assert rep.status == "refuted"
+    assert rep.values["gamma_pr[4,4,4]"] == 0 and "gamma_pr_lo[5,5,5]" in rep.values
+
+
+def test_wrong_value_then_unsettled_is_refuted_for_appended_paths(monkeypatch):
+    # call 2 is the first case's appended graph, call 3 the second case's base
+    _patch_results(monkeypatch, "paired_domination_number", [_same, _wrong, _unsettled])
+    rep = claims.check_appended_path_monotonicity()
+    assert rep.status == "refuted"
+    assert "counterexample[K6+2]" in rep.witnesses and "C5+4: budget exhausted" in rep.notes
+
+
+def test_unsettled_instance_is_skipped_not_raised(monkeypatch, capsys):
+    _patch_results(monkeypatch, "packing_number", [_unsettled])
+    assert cli_main(["verify-paper", "--suite", "tree-paired-packing-identity"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("tree-paired-packing-identity: skipped-resource\n")
+    assert "  matched = 199\n" in out
+
+
+def test_lollipop_stage_without_a_perfect_matching_is_refuted(monkeypatch):
+    monkeypatch.setattr(claims, "has_perfect_matching", lambda g: (False, None))
+    rep = claims.check_lollipop_product_witness(cases=((0, 0),))
+    assert rep.status == "refuted"

@@ -10,7 +10,7 @@ from domlab.graphs import Graph, ResourceError, VertexSet, induced_subgraph
 from domlab.families import complete, path, random_graph, star
 from domlab.matching import MATCHING_CAP, has_perfect_matching
 from domlab.products import multiway_direct_complete
-from domlab.solvers import diagonal_paired_dominating
+from domlab.claims import appended_path_paired_witness
 
 
 def _witness_ok(g, pairs):
@@ -72,7 +72,7 @@ def test_order_cap():
 
 def test_diagonal_member_graph_is_matchable():
     # the induced graph on the 6-member diagonal witness in the 4-fold product
-    g, members, _ = diagonal_paired_dominating([5, 5, 5, 5])
+    g, members, _ = appended_path_paired_witness([5, 5, 5, 5], 0)
     sub, _ = induced_subgraph(g, members)
     ok, pairs = has_perfect_matching(sub)
     assert ok

@@ -45,12 +45,11 @@ from domlab.families import (
     subdivided_star,
 )
 from domlab.products import direct_product, multiway_direct_complete, product_pairing_is_valid
+from domlab.claims import appended_path_paired_witness, pendant_product_dominating
 from domlab.solvers import (
     Budget,
     _clique_partition,
     _minimal_covers,
-    appended_path_paired_witness,
-    diagonal_paired_dominating,
     domination_number,
     independence_number,
     is_dominating,
@@ -64,7 +63,6 @@ from domlab.solvers import (
     pair_up_dominating,
     paired_domination_number,
     pairing_is_valid,
-    pendant_product_dominating,
     private_neighbors,
     total_domination_number,
     upper_domination_exhaustive,
@@ -471,29 +469,6 @@ def test_minimal_total_sizes():
 
 # witness constructions
 
-def test_diagonal_paired_dominating_odd():
-    g, s, pairing = diagonal_paired_dominating([4, 4, 4])
-    assert g.n == 64 and s.members() == [0, 21, 42, 63]
-    assert is_paired_dominating(g, s) and pairing_is_valid(g, s, pairing)
-
-
-def test_diagonal_paired_dominating_even():
-    g, s, pairing = diagonal_paired_dominating([5, 5, 5, 5])
-    assert len(s) == 6
-    assert is_paired_dominating(g, s) and pairing_is_valid(g, s, pairing)
-    # the last diagonal vertex pairs with the first unit vector
-    diag_last = 4 * (125 + 25 + 5 + 1)
-    unit = 125
-    assert (diag_last, unit) in pairing or (unit, diag_last) in pairing
-
-
-def test_diagonal_guards():
-    with pytest.raises(DomainError):
-        diagonal_paired_dominating([4, 4])  # too few factors
-    with pytest.raises(DomainError):
-        diagonal_paired_dominating([3, 4, 4])  # factor smaller than t+1
-
-
 def test_appended_path_witness_sizes_and_validity():
     for orders, ells, sizes in (
         ([4, 4, 4], (0, 1, 2, 3), (4, 6, 6, 8)),
@@ -506,6 +481,16 @@ def test_appended_path_witness_sizes_and_validity():
             assert len(s) == size
             assert is_paired_dominating(g, s)
             assert pairing_is_valid(g, s, pairing)
+    # ell = 0 is the constant-tuple diagonal on the product itself
+    _, s, _ = appended_path_paired_witness([4, 4, 4], 0)
+    assert s.members() == [0, 21, 42, 63]
+    _, _, pairing = appended_path_paired_witness([5, 5, 5, 5], 0)
+    # at even t the last diagonal vertex pairs with the first unit vector (1,0,0,0)
+    assert (125, 4 * (125 + 25 + 5 + 1)) in pairing
+    with pytest.raises(DomainError):
+        appended_path_paired_witness([4, 4], 0)  # too few factors
+    with pytest.raises(DomainError):
+        appended_path_paired_witness([3, 4, 4], 0)  # factor smaller than t+1
 
 
 def test_pendant_product_construction():

@@ -469,6 +469,31 @@ def test_minimal_total_sizes():
 
 # witness constructions
 
+# ell = 0 is the constant-tuple diagonal on the complete product itself
+
+def test_diagonal_paired_dominating_odd():
+    g, s, pairing = appended_path_paired_witness([4, 4, 4], 0)
+    assert g.n == 64 and s.members() == [0, 21, 42, 63]
+    assert is_paired_dominating(g, s) and pairing_is_valid(g, s, pairing)
+
+
+def test_diagonal_paired_dominating_even():
+    g, s, pairing = appended_path_paired_witness([5, 5, 5, 5], 0)
+    assert len(s) == 6
+    assert is_paired_dominating(g, s) and pairing_is_valid(g, s, pairing)
+    # the last diagonal vertex pairs with the first unit vector (1,0,0,0)
+    diag_last = 4 * (125 + 25 + 5 + 1)
+    unit = 125
+    assert (diag_last, unit) in pairing or (unit, diag_last) in pairing
+
+
+def test_diagonal_guards():
+    with pytest.raises(DomainError):
+        appended_path_paired_witness([4, 4], 0)  # too few factors
+    with pytest.raises(DomainError):
+        appended_path_paired_witness([3, 4, 4], 0)  # factor smaller than t+1
+
+
 def test_appended_path_witness_sizes_and_validity():
     for orders, ells, sizes in (
         ([4, 4, 4], (0, 1, 2, 3), (4, 6, 6, 8)),
@@ -481,16 +506,6 @@ def test_appended_path_witness_sizes_and_validity():
             assert len(s) == size
             assert is_paired_dominating(g, s)
             assert pairing_is_valid(g, s, pairing)
-    # ell = 0 is the constant-tuple diagonal on the product itself
-    _, s, _ = appended_path_paired_witness([4, 4, 4], 0)
-    assert s.members() == [0, 21, 42, 63]
-    _, _, pairing = appended_path_paired_witness([5, 5, 5, 5], 0)
-    # at even t the last diagonal vertex pairs with the first unit vector (1,0,0,0)
-    assert (125, 4 * (125 + 25 + 5 + 1)) in pairing
-    with pytest.raises(DomainError):
-        appended_path_paired_witness([4, 4], 0)  # too few factors
-    with pytest.raises(DomainError):
-        appended_path_paired_witness([3, 4, 4], 0)  # factor smaller than t+1
 
 
 def test_pendant_product_construction():

@@ -61,10 +61,8 @@ from .solvers import (
     is_paired_dominating,
     is_total_dominating,
     minimal_total_dominating_sizes,
-    minimalize_dominating,
     packing_number,
     paired_domination_number,
-    pair_up_dominating,
     pairing_is_valid,
     private_neighbors,
     total_domination_number,

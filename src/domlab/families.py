@@ -112,13 +112,13 @@ def rook2xn(n: int) -> Graph:
     return Graph.from_rows(g.adj, f"rook2xn:{n}")
 
 
-def cayleypop(factor_orders, ell: int, cap: int = ORDER_CAP) -> Graph:
+def cayleypop(factor_orders, ell: int) -> Graph:
     """Lollipop over a complete-graph product with pairwise distinct factor orders,
     anchored at the all-zero tuple."""
     orders = list(factor_orders)
     if len(set(orders)) != len(orders):
         raise DomainError("cayleypop: factor orders must be distinct")
-    g = lollipop(multiway_direct_complete(orders, cap), ell, 0)
+    g = lollipop(multiway_direct_complete(orders), ell, 0)
     label = "cayleypop[" + ",".join(map(str, orders)) + f"]:{ell}"
     return Graph.from_rows(g.adj, label)
 

@@ -30,10 +30,10 @@ class ProductIndexMap:
         return self.left_order * self.right_order
 
 
-def _cap_check(n: int, cap: int, what: str):
-    if n > cap:
+def _cap_check(n: int, what: str):
+    if n > ORDER_CAP:
         raise ResourceError(
-            f"{what} would have {n} vertices, above the materialization cap {cap};"
+            f"{what} would have {n} vertices, above the materialization cap {ORDER_CAP};"
             " use the implicit product checks instead"
         )
 
@@ -44,9 +44,9 @@ def _pair_label(tag: str, g: Graph, h: Graph) -> str:
     return ""
 
 
-def direct_product(g: Graph, h: Graph, cap: int = ORDER_CAP):
+def direct_product(g: Graph, h: Graph):
     """(a,b) ~ (a2,b2) iff a ~ a2 and b ~ b2; returns (graph, index map)."""
-    _cap_check(g.n * h.n, cap, "direct product")
+    _cap_check(g.n * h.n, "direct product")
     nh = h.n
     rows = []
     for a in range(g.n):
@@ -60,9 +60,9 @@ def direct_product(g: Graph, h: Graph, cap: int = ORDER_CAP):
     return Graph.from_rows(rows, _pair_label("direct", g, h)), ProductIndexMap(g.n, nh)
 
 
-def cartesian_product(g: Graph, h: Graph, cap: int = ORDER_CAP):
+def cartesian_product(g: Graph, h: Graph):
     """(a,b) ~ (a2,b2) iff coordinates agree on one side and are adjacent on the other."""
-    _cap_check(g.n * h.n, cap, "cartesian product")
+    _cap_check(g.n * h.n, "cartesian product")
     nh = h.n
     rows = []
     for a in range(g.n):
@@ -80,7 +80,7 @@ def _complete_rows(n: int) -> Graph:
     return Graph.from_rows([full ^ (1 << v) for v in range(n)])
 
 
-def multiway_direct_complete(orders, cap: int = ORDER_CAP) -> Graph:
+def multiway_direct_complete(orders) -> Graph:
     """Direct product of complete graphs; tuples map to mixed-radix row-major indices,
     and two vertices are adjacent iff they differ in every coordinate."""
     orders = list(orders)
@@ -91,10 +91,10 @@ def multiway_direct_complete(orders, cap: int = ORDER_CAP) -> Graph:
     total = 1
     for n in orders:
         total *= n
-    _cap_check(total, cap, "complete-graph product")
+    _cap_check(total, "complete-graph product")
     acc = _complete_rows(orders[0])
     for n in orders[1:]:
-        acc, _ = direct_product(acc, _complete_rows(n), cap)
+        acc, _ = direct_product(acc, _complete_rows(n))
     label = "complete_product[" + ",".join(map(str, orders)) + "]"
     return Graph.from_rows(acc.adj, label)
 

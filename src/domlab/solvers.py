@@ -1,8 +1,7 @@
-"""Exact solvers for the domination chain with certificates, the predicate
-checkers they certify against, and the dominating-set surgery they share
-(minimalizing a dominating set, pairing it up). The module builds on graphs
-and matching only; the witness constructors on complete-graph products live
-with the claim checks that use them.
+"""Exact solvers for the domination chain with certificates and the predicate
+checkers they certify against. The module builds on graphs and matching
+only; the witness constructors on complete-graph products live with the
+claim checks that use them.
 
 Parameters use their standard tags: gamma (domination), gamma_t (total),
 gamma_pr (paired), upper_gamma (largest minimal dominating set), rho_k
@@ -264,7 +263,14 @@ def _edge_elements(gc: Graph):
 
 def _greedy(cov, ends, full: int):
     """Indices of disjoint elements picked by largest gain, lowest index on
-    ties, until full is covered; None when disjointness blocks every gain."""
+    ties, until full is covered.
+
+    Disjointness never blocks it on an isolated-free graph (any graph for
+    closed covers): an uncovered vertex u has no picked vertex in N[u], so u
+    is free as a closed element, and u with any neighbor is free as an edge
+    element; a neighbor of u is free as an open element covering u (the
+    maximal-matching argument of Haynes & Slater, Paired-domination in
+    graphs, 1998)."""
     covered = used = 0
     picks = []
     while covered != full:
@@ -276,8 +282,7 @@ def _greedy(cov, ends, full: int):
             if gain > best_gain and not used & bits_of(ends[i]):
                 best_gain = gain
                 best_i = i
-        if best_i < 0:
-            return None
+        ensure(best_i >= 0, "greedy cover found no free element with a gain")
         covered |= cov[best_i]
         used |= bits_of(ends[best_i])
         picks.append(best_i)
@@ -387,13 +392,7 @@ def _min_cover(gc: Graph, cov, ends, tracker) -> _Part:
     from the counting bound up to the greedy's count; sizes in vertices."""
     n = gc.n
     full = gc.full_bits()
-    picks = _greedy(cov, ends, full)
-    if picks is None:
-        # disjoint edges blocked the greedy; pair up a greedy dominating set
-        base = _greedy(*_vertex_elements(gc, False), full)
-        _, picked = pair_up_dominating(gc, VertexSet(gc, bits_of(base)))
-    else:
-        picked = [ends[i] for i in picks]
+    picked = [ends[i] for i in _greedy(cov, ends, full)]
     w = len(ends[0])
     top = len(picked)
     maxcov = max(c.bit_count() for c in cov)
@@ -495,44 +494,44 @@ def _upper_component(gc: Graph, tracker) -> _Part:
     n = gc.n
     full = gc.full_bits()
     closed, ends = _vertex_elements(gc, False)
-    inc_bits = _minimalize_bits(gc, bits_of(_greedy(closed, ends, full)))
-    best = [inc_bits.bit_count(), inc_bits]
+    best_bits = _minimalize_bits(gc, bits_of(_greedy(closed, ends, full)))
+    best = best_bits.bit_count()
     top = n - min(row.bit_count() for row in gc.adj)
 
-    def rec(d_bits, banned, size, once, twice):
-        tracker.tick()
-        avail = full & ~d_bits & ~banned
-        uncovered = full & ~once
-        addable = avail & closed_cover_bits(gc, uncovered)
-        alone = once & ~twice
-        for d in bit_indices(d_bits):
-            holds = full
-            for u in bit_indices(closed[d] & alone):
-                holds &= closed[u]
-            addable &= ~holds
-        count = addable.bit_count()
-        if size + count <= best[0]:
-            return
-        if not count:
-            if not uncovered:
-                best[0] = size
-                best[1] = d_bits
-            return
-        low = addable & -addable
-        v = low.bit_length() - 1
-        rec(d_bits | low, banned, size + 1, once | closed[v], twice | once & closed[v])
-        potential = closed_cover_bits(gc, avail & ~low) if uncovered else 0
-        if not uncovered & ~potential:
-            rec(d_bits, banned | low, size, once, twice)
-
+    # Depth-first on an explicit stack (a cycle's path runs through
+    # thousands of levels): the include child is pushed last, so it is
+    # explored first. A node with addable vertices has uncovered ones.
+    stack = [(0, 0, 0, 0, 0)] if best < top else []
     try:
-        if best[0] < top:
-            rec(0, 0, 0, 0, 0)
-        return _Part(best[0], best[0], best[1], True)
+        while stack:
+            d_bits, banned, size, once, twice = stack.pop()
+            tracker.tick()
+            avail = full & ~d_bits & ~banned
+            uncovered = full & ~once
+            addable = avail & closed_cover_bits(gc, uncovered)
+            alone = once & ~twice
+            for d in bit_indices(d_bits):
+                holds = full
+                for u in bit_indices(closed[d] & alone):
+                    holds &= closed[u]
+                addable &= ~holds
+            count = addable.bit_count()
+            if size + count <= best:
+                continue
+            if not count:
+                if not uncovered:
+                    best, best_bits = size, d_bits
+                continue
+            low = addable & -addable
+            v = low.bit_length() - 1
+            if not uncovered & ~closed_cover_bits(gc, avail & ~low):
+                stack.append((d_bits, banned | low, size, once, twice))
+            stack.append((d_bits | low, banned, size + 1, once | closed[v], twice | once & closed[v]))
+        return _Part(best, best, best_bits, True)
     except _BudgetExceeded:
         if n <= UPPER_SCAN_CAP:
             return _upper_exhaustive(gc)
-        return _Part(best[0], top, best[1], False)
+        return _Part(best, top, best_bits, False)
 
 
 def upper_domination_number(g: Graph, budget: Budget | None = None) -> Certificate:
@@ -725,58 +724,6 @@ def independence_number(g: Graph, budget: Budget | None = None) -> Certificate:
     return _solve(
         g, "alpha", _mis_component, lambda cert: is_k_packing(g, cert.witness, 1), budget
     )
-
-
-# ---------------------------------------------------------------------------
-# dominating-set surgery
-
-
-def minimalize_dominating(g: Graph, s: VertexSet) -> VertexSet:
-    """Drop redundant members (lowest index first) until the set is minimal."""
-    bits = homed_bits(g, s)
-    if closed_cover_bits(g, bits) != g.full_bits():
-        raise DomainError("set is not dominating")
-    return VertexSet(g, _minimalize_bits(g, bits))
-
-
-def pair_up_dominating(g: Graph, s: VertexSet):
-    """Paired dominating set of size at most 2|S| built from a dominating S.
-
-    The set is first minimalized; then unmatched members grab the lowest
-    unmatched neighbor (preferring one already in the set). A member whose
-    neighbors are all matched is dropped, which is safe: its whole open
-    neighborhood is then inside the set, so no coverage is lost.
-    """
-    if has_isolated_vertex(g):
-        raise DomainError("paired sets need an isolated-free graph")
-    start = len(s)
-    sbits = homed_bits(g, minimalize_dominating(g, s))
-    matched = 0
-    pairs = []
-    while True:
-        unmatched = sbits & ~matched
-        if not unmatched:
-            break
-        u = (unmatched & -unmatched).bit_length() - 1
-        nbrs = g.adj[u]
-        cand = nbrs & sbits & ~matched & ~(1 << u)
-        if not cand:
-            cand = nbrs & ~sbits
-        if cand:
-            w = (cand & -cand).bit_length() - 1
-            sbits |= 1 << w
-            pairs.append((min(u, w), max(u, w)))
-            matched |= (1 << u) | (1 << w)
-        else:
-            sbits &= ~(1 << u)
-    result = VertexSet(g, sbits)
-    pairing = tuple(sorted(pairs))
-    ensure(len(result) <= 2 * start, "pairing up more than doubled the set")
-    ensure(
-        is_dominating(g, result) and pairing_is_valid(g, result, pairing),
-        "paired-up set is not paired dominating",
-    )
-    return result, pairing
 
 
 # ---------------------------------------------------------------------------

@@ -272,3 +272,10 @@ def test_lollipop_stage_without_a_perfect_matching_is_refuted(monkeypatch):
     monkeypatch.setattr(claims, "has_perfect_matching", lambda g: (False, None))
     rep = claims.check_lollipop_product_witness(cases=((0, 0),))
     assert rep.status == "refuted"
+
+
+def test_lollipop_note_explains_only_orders_below_the_bound_premise():
+    rep = claims.check_lollipop_product_witness(orders=(7, 7, 7), cases=((0, 0),))
+    assert rep.status == "bounds-only"
+    assert rep.notes.endswith("are not computed; (0,0): size 16 > bound 8")
+    assert "sit below" not in rep.notes and "randomized search" not in rep.notes

@@ -28,6 +28,7 @@ from domlab.graphs import (
     VertexSet,
     bits_of,
     connected_components,
+    has_isolated_vertex,
     induced_subgraph,
 )
 from domlab.families import (
@@ -49,7 +50,10 @@ from domlab.claims import appended_path_paired_witness, pendant_product_dominati
 from domlab.solvers import (
     Budget,
     _clique_partition,
+    _edge_elements,
+    _greedy,
     _minimal_covers,
+    _vertex_elements,
     domination_number,
     independence_number,
     is_dominating,
@@ -58,9 +62,7 @@ from domlab.solvers import (
     is_paired_dominating,
     is_total_dominating,
     minimal_total_dominating_sizes,
-    minimalize_dominating,
     packing_number,
-    pair_up_dominating,
     paired_domination_number,
     pairing_is_valid,
     private_neighbors,
@@ -165,27 +167,6 @@ def test_private_neighbors():
         private_neighbors(g, s, 2)
 
 
-def test_minimalize_and_pair_up():
-    rng = random.Random(79)
-    for trial in range(60):
-        n = rng.randrange(2, 11)
-        g = random_graph(n, rng.choice([0.3, 0.5, 0.8]), seed=5000 + trial)
-        if any(g.degree(v) == 0 for v in range(n)):
-            continue
-        full = _vs(g, range(n))
-        m = minimalize_dominating(g, full)
-        assert is_minimal_dominating(g, m)
-        assert m.bits & ~full.bits == 0
-        s, pairing = pair_up_dominating(g, full)
-        assert is_paired_dominating(g, s)
-        assert pairing_is_valid(g, s, pairing)
-        assert len(s) <= 2 * len(m)
-    with pytest.raises(DomainError):
-        minimalize_dominating(path(6), _vs(path(6), [0]))
-    with pytest.raises(DomainError):
-        pair_up_dominating(Graph(3, [(0, 1)]), _vs(Graph(3, [(0, 1)]), [0, 1, 2]))
-
-
 # budgets and intervals
 
 def test_budget_interval_certificate():
@@ -285,9 +266,11 @@ def test_mis_search_depth_is_not_bounded_by_the_call_stack():
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:
         c = independence_number(cycle(501))
+        u = upper_domination_number(cycle(301), Budget(max_nodes=2000))
     finally:
         sys.setrecursionlimit(old)
     assert (c.value, c.nodes) == (250, 503)
+    assert (u.lo, u.hi, u.exact, u.nodes) == (150, 299, False, 2001)
 
 
 def _mis_cases():
@@ -377,6 +360,24 @@ def test_min_side_matches_oracles_where_the_bound_prunes(name):
     assert domination_number(g).value == brute_gamma(g)
     assert total_domination_number(g).value == brute_gamma_t(g)
     assert paired_domination_number(g).value == brute_gamma_pr(g)
+
+
+def test_greedy_cover_never_blocks_on_isolated_free_graphs():
+    # An uncovered vertex is free as a closed element, its neighbors are
+    # free as open elements, and it forms a free edge with any neighbor.
+    rng = random.Random(131)
+    for i in range(120):
+        g = random_graph(rng.randrange(2, 25), rng.choice([0.1, 0.2, 0.4, 0.7]), 13000 + i)
+        if has_isolated_vertex(g):
+            continue
+        full = g.full_bits()
+        for cov, ends in (_vertex_elements(g, False), _vertex_elements(g, True), _edge_elements(g)):
+            covered = used = 0
+            for e in _greedy(cov, ends, full):
+                assert not used & bits_of(ends[e])
+                used |= bits_of(ends[e])
+                covered |= cov[e]
+            assert covered == full
 
 
 def test_corrupt_component_result_raises_under_O():
@@ -495,12 +496,13 @@ def test_diagonal_guards():
 
 
 def test_appended_path_witness_sizes_and_validity():
-    for orders, ells, sizes in (
-        ([4, 4, 4], (0, 1, 2, 3), (4, 6, 6, 8)),
-        ([5, 5, 5, 5], (0, 1, 2), (6, 6, 8)),
+    # t+1+ell rounded up to even, for every parity of t and ell
+    for orders, sizes in (
+        ([4, 4, 4], (4, 6, 6, 8, 8, 10, 10, 12)),
+        ([5, 5, 5, 5], (6, 6, 8, 8, 10, 10, 12, 12)),
     ):
         base = multiway_direct_complete(orders)
-        for ell, size in zip(ells, sizes):
+        for ell, size in enumerate(sizes):
             g, s, pairing = appended_path_paired_witness(orders, ell)
             assert g.n == base.n + ell
             assert len(s) == size

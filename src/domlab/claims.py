@@ -1,6 +1,6 @@
 """Named, runnable checks for the source results, each producing a ClaimReport,
-and the constructive witnesses on complete-graph products that only these
-checks use.
+and the constructive witnesses and the symmetry search on complete-graph
+products that only these checks use.
 
 Every report is self-certifying: a verified status embeds witnesses that pass
 the checker predicates again, a refuted one carries a concrete counterexample,
@@ -51,12 +51,15 @@ from .products import (
 )
 from .solvers import (
     Budget,
+    _BudgetExceeded,
+    _Tracker,
     domination_number,
     independence_number,
     is_dominating,
     is_k_packing,
     is_minimal_dominating,
     is_paired_dominating,
+    is_total_dominating,
     minimal_total_dominating_sizes,
     packing_number,
     paired_domination_number,
@@ -194,6 +197,69 @@ def appended_path_paired_witness(orders, ell: int):
     return g, vs, pairing
 
 
+def complete_product_total_set(orders, size: int, budget: Budget | None = None):
+    """A set of at most `size` vertices that totally dominates the complete
+    product on `orders` (every order at least 3, size at least 3), as sorted
+    vertex indices, or None when there is none. Adding vertices keeps a set
+    totally dominating, so None also rules out exactly `size` vertices.
+    Raises ResourceError when the budget runs out first.
+
+    The search fixes three members by the product's automorphisms, the
+    value permutations of each coordinate (Mekis, Lower bounds for the
+    domination number and the total domination number of direct product
+    graphs, 2010; McKay, Isomorph-free exhaustive generation, 1998):
+
+    1. they act transitively on the vertices, so some member is 0;
+    2. 0 needs a neighbor in the set, and those fixing 0 in every
+       coordinate act transitively on N(0), so that neighbor is (1,...,1);
+    3. those fixing 0 and 1 in every coordinate map any third member to a
+       tuple over {0,1,2}, so it is one of 3^t representatives.
+
+    The remaining picks branch on the neighbors of the lowest uncovered
+    vertex, one node per child."""
+    orders = list(orders)
+    if min(orders) < 3 or size < 3:
+        raise DomainError("complete-product total search needs orders and size of at least 3")
+    g = multiway_direct_complete(orders)
+    adj = g.adj
+    full = g.full_bits()
+    w = _mixed_radix_weights(orders)
+    ones = sum(w)
+    tracker = _Tracker(budget or Budget())
+    chosen = [0, ones, 0]
+
+    def rec(covered, left):
+        tracker.tick()
+        unc = full & ~covered
+        if not unc:
+            return True
+        if not left:
+            return False
+        for v in bit_indices(adj[(unc & -unc).bit_length() - 1]):
+            chosen.append(v)
+            if rec(covered | adj[v], left - 1):
+                return True
+            chosen.pop()
+        return False
+
+    base = adj[0] | adj[ones]
+    try:
+        for digits in iter_product(range(3), repeat=len(orders)):
+            third = sum(wi * d for wi, d in zip(w, digits))
+            if third in (0, ones):
+                continue
+            chosen[2] = third
+            if rec(base | adj[third], size - 3):
+                found = VertexSet(g, bits_of(chosen))
+                ensure(is_total_dominating(g, found), "complete-product total set fails its re-check")
+                return _members(found)
+    except _BudgetExceeded:
+        raise ResourceError(f"complete-product total search ran out of budget at size {size}") from None
+    finally:
+        del rec
+    return None
+
+
 # ---------------------------------------------------------------------------
 # complete products
 
@@ -222,50 +288,52 @@ def check_complete_products_domination(order_lists=((4, 4, 4), (5, 4, 4))) -> Cl
     return rep.report()
 
 
-def check_complete_products_paired(
-    exact_order_lists=((4, 4, 4), (7, 7, 7)),
-    witness_orders=(5, 5, 5, 5),
-    bound_budget=Budget(max_nodes=60_000),
-) -> ClaimReport:
-    """Paired domination equals t+1 on odd-t complete products (checked exactly
-    at t=3); at even t the witness of size t+2 is validated and the lower side
-    is certified as far as the budgeted total-domination search reaches."""
+def check_complete_products_paired(order_lists=((4, 4, 4), (7, 7, 7), (5, 5, 5, 5))) -> ClaimReport:
+    """Paired domination equals t+1 rounded up to even on products of t >= 3
+    complete graphs of order at least t+1, since total domination equals t+1
+    there. The upper end is the constant-tuple diagonal witness of that
+    size. The lower end: complete_product_total_set refutes t vertices by
+    symmetry, so gamma_t >= t+1, and gamma_pr >= gamma_t with gamma_pr even.
+    A budget hit, or a witness larger than the lower end, leaves the
+    instance bounds-only."""
     rep = _ReportBuilder("complete-products-paired")
-    for orders in exact_order_lists:
+    for orders in order_lists:
         t = len(orders)
         key = _orders_key(orders)
-        cert = paired_domination_number(multiway_direct_complete(list(orders)))
-        if not cert.exact:
-            rep.values[f"gamma_pr_lo[{key}]"] = cert.lo
-            rep.values[f"gamma_pr_hi[{key}]"] = cert.hi
-            rep.record(BOUNDS_ONLY, f"[{key}] not pinned exactly")
+        lo = t + 1 + (t + 1) % 2
+        g, diag, _ = appended_path_paired_witness(orders, 0)
+        if not is_paired_dominating(g, diag):
+            rep.record(REFUTED, f"diagonal witness invalid on [{key}]")
             continue
-        rep.values[f"gamma_pr[{key}]"] = cert.value
-        rep.witnesses[f"gamma_pr[{key}]"] = _members(cert.witness)
-        if cert.value != t + 1:
-            rep.witnesses[f"counterexample[{key}]"] = _members(cert.witness)
-            rep.record(REFUTED, f"[{key}] gives gamma_pr={cert.value}, not {t + 1}")
-    t = len(witness_orders)
-    key = _orders_key(witness_orders)
-    g, diag, _ = appended_path_paired_witness(witness_orders, 0)
-    if not (len(diag) == t + 2 and is_paired_dominating(g, diag)):
-        rep.record(REFUTED, f"even-t witness invalid on [{key}]")
-    rep.witnesses[f"diagonal[{key}]"] = _members(diag)
-    rep.values[f"witness_size[{key}]"] = len(diag)
-    tcert = total_domination_number(g, bound_budget)
-    lo_t = tcert.lo
-    lo_pr = lo_t + 1 if lo_t % 2 else lo_t
-    rep.values[f"gamma_t_lo[{key}]"] = lo_t
-    rep.values[f"gamma_pr_lo[{key}]"] = max(2, lo_pr)
-    rep.values[f"gamma_pr_hi[{key}]"] = len(diag)
-    if tcert.exact and lo_t == t + 1:
-        rep.values[f"gamma_pr[{key}]"] = t + 2
-    else:
-        rep.record(
-            BOUNDS_ONLY,
-            f"[{key}]: a proof of gamma_t = {t + 1} plus evenness would pin "
-            f"gamma_pr = {t + 2}; the budgeted search certifies gamma_t >= {lo_t}",
-        )
+        rep.witnesses[f"gamma_pr[{key}]"] = _members(diag)
+        try:
+            found = complete_product_total_set(orders, t, Budget(max_nodes=60_000))
+        except ResourceError:
+            rep.values[f"gamma_pr_hi[{key}]"] = len(diag)
+            rep.record(BOUNDS_ONLY, f"[{key}]: the budget ran out before size {t} was refuted")
+            continue
+        if found is not None:
+            rep.witnesses[f"counterexample[{key}]"] = found
+            rep.record(REFUTED, f"[{key}]: {len(found)} vertices totally dominate, so gamma_t < {t + 1}")
+            continue
+        if len(diag) < lo:
+            rep.witnesses[f"counterexample[{key}]"] = _members(diag)
+            rep.record(REFUTED, f"[{key}]: the witness has {len(diag)} vertices, below the lower end {lo}")
+            continue
+        if len(diag) > lo:
+            rep.values[f"gamma_pr_lo[{key}]"] = lo
+            rep.values[f"gamma_pr_hi[{key}]"] = len(diag)
+            rep.record(BOUNDS_ONLY, f"[{key}]: the witness has {len(diag)} vertices, the lower end {lo}")
+            continue
+        rep.values[f"gamma_pr[{key}]"] = lo
+    rep.notes.append(
+        "each lower end searches t totally dominating vertices up to symmetry: "
+        "some member is 0 by transitivity, its neighbor in the set is (1,...,1) "
+        "since the stabilizer of 0 is transitive on N(0), and a third member lies "
+        "over {0,1,2} under the stabilizer of 0 and 1; finding none gives "
+        "gamma_t >= t+1, so the even gamma_pr is at least t+1 rounded up to even, "
+        "the diagonal witness size"
+    )
     return rep.report()
 
 
@@ -734,13 +802,24 @@ def check_product_additive_domination(count=100, max_order=8, seed=7) -> ClaimRe
 
 def ratio_scan(pairs, budget: Budget | None = None):
     """Per-pair paired-domination product ratios gamma_pr(GxH)/(gamma_pr(G)
-    gamma_pr(H)); returns one ClaimReport per pair in input order."""
+    gamma_pr(H)); returns one ClaimReport per pair in input order. Each
+    factor adjacency is solved once per call: a certificate is immutable and
+    every solve gets a tracker of its own, so under a node budget a reused
+    one is the one a new solve would give."""
     reports = []
+    factors = {}
+
+    def factor(g):
+        cert = factors.get(g.adj)
+        if cert is None:
+            cert = factors[g.adj] = paired_domination_number(g, budget)
+        return cert
+
     for g, h in pairs:
         rep = _ReportBuilder(f"ratio:{g.label or 'left'}|{h.label or 'right'}")
         try:
-            cg = paired_domination_number(g, budget)
-            ch = paired_domination_number(h, budget)
+            cg = factor(g)
+            ch = factor(h)
             prod, _ = direct_product(g, h)
             cp = paired_domination_number(prod, budget)
         except (ResourceError, DomainError) as exc:

@@ -408,7 +408,9 @@ def _min_cover(gc: Graph, cov, ends, tracker) -> _Part:
         for size in range(lb, top):
             try:
                 found = search(size)
-            except _BudgetExceeded:
+            except (_BudgetExceeded, RecursionError):
+                # the search recurses once per pick, so a cover deeper than
+                # the call stack ends this size like a spent budget
                 return _cover_part(w * size, w * top, picked, False)
             if found is not None:
                 return _cover_part(w * size, w * size, [ends[i] for i in found], True)

@@ -9,7 +9,7 @@ from oracles import brute_tree_form, is_connected
 
 from domlab import claims
 from domlab.cli import main as cli_main
-from domlab.graphs import DomainError, VertexSet, bits_of, closed_cover_bits
+from domlab.graphs import DomainError, ResourceError, VertexSet, bit_indices, bits_of, closed_cover_bits
 from domlab.families import complete, cycle, lollipop, path, pendant_pairs, rook2xn, subdivided_star
 from domlab.products import direct_product, implicit_direct_domination_check, multiway_direct_complete
 from domlab.solvers import (
@@ -18,6 +18,8 @@ from domlab.solvers import (
     is_k_packing,
     is_minimal_dominating,
     is_paired_dominating,
+    is_total_dominating,
+    total_domination_number,
 )
 from domlab.claims import (
     SUITE_ORDER,
@@ -41,7 +43,7 @@ def test_suite_covers_all_claims_in_order(suite):
 
 
 def test_suite_statuses(suite):
-    expected_bounds_only = {"complete-products-paired", "lollipop-product-witness"}
+    expected_bounds_only = {"lollipop-product-witness"}
     for cid, rep in suite.items():
         want = "bounds-only" if cid in expected_bounds_only else "verified"
         assert rep.status == want, f"{cid}: {rep.status}"
@@ -85,16 +87,31 @@ def test_complete_products_witnesses(suite):
 
 def test_paired_products_witnesses(suite):
     rep = suite["complete-products-paired"]
-    assert rep.values["gamma_pr[7,7,7]"] == 4
-    g = multiway_direct_complete([7, 7, 7])
-    wit = VertexSet.of(g, rep.witnesses["gamma_pr[7,7,7]"])
-    assert is_paired_dominating(g, wit)
-    # the four-factor case stays an interval with a size-6 witness
-    assert rep.values["gamma_pr_lo[5,5,5,5]"] == 4
-    assert rep.values["gamma_pr_hi[5,5,5,5]"] == 6
-    g4 = multiway_direct_complete([5, 5, 5, 5])
-    wit4 = VertexSet.of(g4, rep.witnesses["diagonal[5,5,5,5]"])
-    assert is_paired_dominating(g4, wit4)
+    for orders, value in (([4, 4, 4], 4), ([7, 7, 7], 4), ([5, 5, 5, 5], 6)):
+        key = ",".join(map(str, orders))
+        g = multiway_direct_complete(orders)
+        wit = VertexSet.of(g, rep.witnesses[f"gamma_pr[{key}]"])
+        assert rep.values[f"gamma_pr[{key}]"] == len(wit) == value
+        assert is_paired_dominating(g, wit)
+
+
+@pytest.mark.parametrize("orders", [(3, 3), (4, 4), (3, 3, 3), (4, 4, 4), (5, 5, 5)])
+def test_complete_product_total_set_matches_the_solver(orders):
+    g = multiway_direct_complete(orders)
+    gamma_t = total_domination_number(g).value
+    for size in range(3, gamma_t):
+        assert claims.complete_product_total_set(orders, size) is None, size
+    found = claims.complete_product_total_set(orders, gamma_t)
+    assert len(found) == gamma_t and is_total_dominating(g, VertexSet.of(g, found))
+
+
+def test_complete_product_total_set_guards():
+    with pytest.raises(DomainError):
+        claims.complete_product_total_set((2, 4, 4), 3)
+    with pytest.raises(DomainError):
+        claims.complete_product_total_set((4, 4, 4), 2)
+    with pytest.raises(ResourceError):
+        claims.complete_product_total_set((5, 5, 5, 5), 4, Budget(max_nodes=1_000))
 
 
 def test_lollipop_product_witnesses(suite):
@@ -244,12 +261,38 @@ def _unsettled(cert):
 
 
 def test_wrong_value_then_unsettled_is_refuted_for_complete_products(monkeypatch):
-    _patch_results(monkeypatch, "paired_domination_number", [_wrong, _unsettled])
-    rep = claims.check_complete_products_paired(
-        exact_order_lists=((4, 4, 4), (5, 5, 5)), bound_budget=Budget(max_nodes=1_000)
-    )
+    # the first size-t search claims a cover, the second runs out of budget
+    real = claims.complete_product_total_set
+    calls = []
+
+    def patched(orders, size, budget):
+        calls.append(orders)
+        return [0, 1, 2] if len(calls) == 1 else real(orders, size, Budget(max_nodes=1))
+
+    monkeypatch.setattr(claims, "complete_product_total_set", patched)
+    rep = claims.check_complete_products_paired(order_lists=((4, 4, 4), (5, 5, 5)))
     assert rep.status == "refuted"
-    assert rep.values["gamma_pr[4,4,4]"] == 0 and "gamma_pr_lo[5,5,5]" in rep.values
+    assert rep.witnesses["counterexample[4,4,4]"] == [0, 1, 2]
+    assert "gamma_pr[4,4,4]" not in rep.values and rep.values["gamma_pr_hi[5,5,5]"] == 4
+    assert "[5,5,5]: the budget ran out before size 3 was refuted" in rep.notes
+
+
+def test_witness_above_the_lower_end_leaves_complete_products_bounds_only(monkeypatch):
+    # a valid witness two vertices above t+1 rounded up to even pins no value
+    real = claims.appended_path_paired_witness
+
+    def padded(orders, ell):
+        g, diag, pairing = real(orders, ell)
+        u = next(v for v in range(g.n) if v not in diag)
+        w = next(x for x in bit_indices(g.adj[u]) if x not in diag)
+        return g, VertexSet(g, diag.bits | 1 << u | 1 << w), pairing + ((min(u, w), max(u, w)),)
+
+    monkeypatch.setattr(claims, "appended_path_paired_witness", padded)
+    rep = claims.check_complete_products_paired(order_lists=((4, 4, 4),))
+    assert rep.status == "bounds-only"
+    assert "gamma_pr[4,4,4]" not in rep.values
+    assert (rep.values["gamma_pr_lo[4,4,4]"], rep.values["gamma_pr_hi[4,4,4]"]) == (4, 6)
+    assert "[4,4,4]: the witness has 6 vertices, the lower end 4" in rep.notes
 
 
 def test_wrong_value_then_unsettled_is_refuted_for_appended_paths(monkeypatch):

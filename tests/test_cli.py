@@ -1,13 +1,15 @@
 """Command-line surface: exit codes, formats, determinism."""
 
+import inspect
 import json
+import sys
 
 import pytest
 
 from domlab import cli
 from domlab.cli import main
 from domlab.families import build_family, cycle, parse_family_spec
-from domlab.graphs import FormatError, read_graph_text, write_graph_text
+from domlab.graphs import FormatError, Graph, read_graph_text, write_graph_text
 from domlab.products import direct_product
 from domlab.solvers import domination_number
 
@@ -138,6 +140,23 @@ def test_compute_budget_exhaustion_exits_3(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "compute", "gamma_t", big, "--exact-budget", "1500")
     assert code == 3
     assert "bounds = [3, 5]" in out and "exact = false" in out
+
+
+def test_compute_search_deeper_than_the_call_stack_exits_3(tmp_path, capsys):
+    # gamma_t of a 300-cycle plus a hub joined to vertices 0..99 is 102; its
+    # size-101 search runs deeper than the lowered stack allows
+    n = 300
+    hub = Graph(n + 1, [(i, (i + 1) % n) for i in range(n)] + [(n, i) for i in range(100)])
+    p = tmp_path / "hub.adj"
+    p.write_text(write_graph_text(hub))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        code, out, err = run_cli(capsys, "compute", "gamma_t", str(p))
+    finally:
+        sys.setrecursionlimit(old)
+    assert code == 3 and err == ""
+    assert "bounds = [101, 102]" in out and "exact = false" in out
 
 
 def test_env_budget_applies(tmp_path, capsys, monkeypatch):

@@ -273,6 +273,26 @@ def test_mis_search_depth_is_not_bounded_by_the_call_stack():
     assert (u.lo, u.hi, u.exact, u.nodes) == (150, 299, False, 2001)
 
 
+def _hub_cycle(n, spokes):
+    """Cycle on 0..n-1 plus a hub n joined to vertices 0..spokes-1."""
+    return Graph(n + 1, [(i, (i + 1) % n) for i in range(n)] + [(n, i) for i in range(spokes)])
+
+
+def test_cover_search_deeper_than_the_call_stack_ends_like_a_spent_budget():
+    # The cover search recurses once per pick, and gamma_t of this graph is
+    # 102, so its size-101 search runs deeper than the lowered stack allows.
+    g = _hub_cycle(300, 100)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        c = total_domination_number(g)
+    finally:
+        sys.setrecursionlimit(old)
+    assert (c.lo, c.hi, c.exact) == (101, 102, False)
+    assert len(c.witness) == c.hi and is_total_dominating(g, c.witness)
+    assert total_domination_number(g).value == 102
+
+
 def _mis_cases():
     """Seeded random graphs of order 1..14, sparse (often bipartite) to dense."""
     rng = random.Random(101)

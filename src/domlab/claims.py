@@ -1,6 +1,6 @@
 """Named, runnable checks for the source results, each producing a ClaimReport,
-and the constructive witnesses and the symmetry search on complete-graph
-products that only these checks use.
+and the constructive witnesses on complete-graph products that only these
+checks use.
 
 Every report is self-certifying: a verified status embeds witnesses that pass
 the checker predicates again, a refuted one carries a concrete counterexample,
@@ -51,15 +51,12 @@ from .products import (
 )
 from .solvers import (
     Budget,
-    _BudgetExceeded,
-    _Tracker,
     domination_number,
     independence_number,
     is_dominating,
     is_k_packing,
     is_minimal_dominating,
     is_paired_dominating,
-    is_total_dominating,
     minimal_total_dominating_sizes,
     packing_number,
     paired_domination_number,
@@ -197,69 +194,6 @@ def appended_path_paired_witness(orders, ell: int):
     return g, vs, pairing
 
 
-def complete_product_total_set(orders, size: int, budget: Budget | None = None):
-    """A set of at most `size` vertices that totally dominates the complete
-    product on `orders` (every order at least 3, size at least 3), as sorted
-    vertex indices, or None when there is none. Adding vertices keeps a set
-    totally dominating, so None also rules out exactly `size` vertices.
-    Raises ResourceError when the budget runs out first.
-
-    The search fixes three members by the product's automorphisms, the
-    value permutations of each coordinate (Mekis, Lower bounds for the
-    domination number and the total domination number of direct product
-    graphs, 2010; McKay, Isomorph-free exhaustive generation, 1998):
-
-    1. they act transitively on the vertices, so some member is 0;
-    2. 0 needs a neighbor in the set, and those fixing 0 in every
-       coordinate act transitively on N(0), so that neighbor is (1,...,1);
-    3. those fixing 0 and 1 in every coordinate map any third member to a
-       tuple over {0,1,2}, so it is one of 3^t representatives.
-
-    The remaining picks branch on the neighbors of the lowest uncovered
-    vertex, one node per child."""
-    orders = list(orders)
-    if min(orders) < 3 or size < 3:
-        raise DomainError("complete-product total search needs orders and size of at least 3")
-    g = multiway_direct_complete(orders)
-    adj = g.adj
-    full = g.full_bits()
-    w = _mixed_radix_weights(orders)
-    ones = sum(w)
-    tracker = _Tracker(budget or Budget())
-    chosen = [0, ones, 0]
-
-    def rec(covered, left):
-        tracker.tick()
-        unc = full & ~covered
-        if not unc:
-            return True
-        if not left:
-            return False
-        for v in bit_indices(adj[(unc & -unc).bit_length() - 1]):
-            chosen.append(v)
-            if rec(covered | adj[v], left - 1):
-                return True
-            chosen.pop()
-        return False
-
-    base = adj[0] | adj[ones]
-    try:
-        for digits in iter_product(range(3), repeat=len(orders)):
-            third = sum(wi * d for wi, d in zip(w, digits))
-            if third in (0, ones):
-                continue
-            chosen[2] = third
-            if rec(base | adj[third], size - 3):
-                found = VertexSet(g, bits_of(chosen))
-                ensure(is_total_dominating(g, found), "complete-product total set fails its re-check")
-                return _members(found)
-    except _BudgetExceeded:
-        raise ResourceError(f"complete-product total search ran out of budget at size {size}") from None
-    finally:
-        del rec
-    return None
-
-
 # ---------------------------------------------------------------------------
 # complete products
 
@@ -289,13 +223,15 @@ def check_complete_products_domination(order_lists=((4, 4, 4), (5, 4, 4))) -> Cl
 
 
 def check_complete_products_paired(order_lists=((4, 4, 4), (7, 7, 7), (5, 5, 5, 5))) -> ClaimReport:
-    """Paired domination equals t+1 rounded up to even on products of t >= 3
-    complete graphs of order at least t+1, since total domination equals t+1
-    there. The upper end is the constant-tuple diagonal witness of that
-    size. The lower end: complete_product_total_set refutes t vertices by
-    symmetry, so gamma_t >= t+1, and gamma_pr >= gamma_t with gamma_pr even.
-    A budget hit, or a witness larger than the lower end, leaves the
-    instance bounds-only."""
+    """Paired domination equals t+1 rounded up to even on products of t
+    complete graphs of order at least t+1. The upper end is the
+    constant-tuple diagonal witness of that size. The lower end is the
+    escape-vertex lemma (Mekis, Lower bounds for the domination number and
+    the total domination number of direct product graphs, 2010): for any t
+    vertices d_1..d_t, the tuple x with x_i = (d_i)_i agrees with each d_i
+    in coordinate i, so no d_i is adjacent to x and gamma_t >= t+1; a paired
+    dominating set is total dominating and of even size. A witness larger
+    than the lower end leaves the instance bounds-only."""
     rep = _ReportBuilder("complete-products-paired")
     for orders in order_lists:
         t = len(orders)
@@ -306,16 +242,6 @@ def check_complete_products_paired(order_lists=((4, 4, 4), (7, 7, 7), (5, 5, 5, 
             rep.record(REFUTED, f"diagonal witness invalid on [{key}]")
             continue
         rep.witnesses[f"gamma_pr[{key}]"] = _members(diag)
-        try:
-            found = complete_product_total_set(orders, t, Budget(max_nodes=60_000))
-        except ResourceError:
-            rep.values[f"gamma_pr_hi[{key}]"] = len(diag)
-            rep.record(BOUNDS_ONLY, f"[{key}]: the budget ran out before size {t} was refuted")
-            continue
-        if found is not None:
-            rep.witnesses[f"counterexample[{key}]"] = found
-            rep.record(REFUTED, f"[{key}]: {len(found)} vertices totally dominate, so gamma_t < {t + 1}")
-            continue
         if len(diag) < lo:
             rep.witnesses[f"counterexample[{key}]"] = _members(diag)
             rep.record(REFUTED, f"[{key}]: the witness has {len(diag)} vertices, below the lower end {lo}")
@@ -327,12 +253,11 @@ def check_complete_products_paired(order_lists=((4, 4, 4), (7, 7, 7), (5, 5, 5, 
             continue
         rep.values[f"gamma_pr[{key}]"] = lo
     rep.notes.append(
-        "each lower end searches t totally dominating vertices up to symmetry: "
-        "some member is 0 by transitivity, its neighbor in the set is (1,...,1) "
-        "since the stabilizer of 0 is transitive on N(0), and a third member lies "
-        "over {0,1,2} under the stabilizer of 0 and 1; finding none gives "
-        "gamma_t >= t+1, so the even gamma_pr is at least t+1 rounded up to even, "
-        "the diagonal witness size"
+        "each lower end is the escape-vertex lemma: for any t vertices d_1..d_t, "
+        "the tuple x with x_i = (d_i)_i agrees with each d_i in coordinate i, so no "
+        "d_i is adjacent to x and gamma_t >= t+1; a paired dominating set is total "
+        "dominating and even, so gamma_pr is at least t+1 rounded up to even, the "
+        "diagonal witness size"
     )
     return rep.report()
 
@@ -464,11 +389,6 @@ def _paired_via_member_graph(left, right, members):
     return ok
 
 
-# the only factor orders a randomized search for a dominating set of the
-# bound's base size in the square product has been run at
-_SEARCHED_ORDERS = (4, 4, 4)
-
-
 def check_lollipop_product_witness(orders=(4, 4, 4), cases=((0, 0), (0, 1), (1, 0), (1, 1))) -> ClaimReport:
     """Builds the recursive paired dominating witness on products of two
     appended-path extensions of a complete-graph product, validating every
@@ -533,12 +453,6 @@ def check_lollipop_product_witness(orders=(4, 4, 4), cases=((0, 0), (0, 1), (1, 
                 f"; the bound presumes factor orders of at least 2t+1 = {2 * t + 1}, "
                 f"while orders [{_orders_key(orders)}] sit below that"
             )
-            if tuple(orders) == _SEARCHED_ORDERS:
-                note += (
-                    ": extensive randomized search found no dominating set of the "
-                    "bound's base size 8 in the square product, so the doubled-diagonal "
-                    "witness of size 16 is the best construction reported here"
-                )
         rep.notes.append(note)
     return rep.report()
 

@@ -3,8 +3,9 @@
 Each test prints an ACCEPTANCE line with measured values (visible with -s or on
 failure); the pytest -v report itself is the one-line-per-criterion record.
 Criterion 10 is marked strict-xfail: its witness-validity clauses hold, but the
-base-case size clause asks for a set that provably does not exist at these
-factor orders, so the honest outcome is a red entry, not a loosened test.
+base-case size clause rests on a bound that presumes factor orders of at least
+2t+1, above the orders used here, so the honest outcome is a red entry, not a
+loosened test.
 """
 
 import json
@@ -237,17 +238,16 @@ def test_criterion_10_report():
     ok = ok and rep.status == "bounds-only" and len(rep.witnesses) == 4
     print(
         "ACCEPTANCE 10: FAIL (expected, see xfail) - witnesses all validate, sizes "
-        f"{sizes}, but the base case needs size 8 where no dominating set of size 8 "
-        f"exists at these factor orders; checked in {time.monotonic()-t0:.2f}s"
+        f"{sizes}, but the base case's bound of 8 presumes factor orders of at least "
+        f"2t+1 = 7; checked in {time.monotonic()-t0:.2f}s"
     )
     assert ok
 
 
 @pytest.mark.xfail(
     strict=True,
-    reason="the size bound presumes factor orders of at least 2t+1 = 7; at orders "
-    "[4,4,4] the squared product has no dominating set of the base size 8, so the "
-    "base case cannot meet its formula value",
+    reason="the size bound presumes factor orders of at least 2t+1 = 7, and at orders "
+    "[4,4,4] the doubled-diagonal base case has 16 members against the formula's 8",
 )
 def test_criterion_10_construction_sizes_within_formula():
     rep = check_lollipop_product_witness()

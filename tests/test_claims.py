@@ -2,14 +2,15 @@
 
 import dataclasses
 import json
-from math import factorial
+import random
+from math import factorial, prod
 
 import pytest
 from oracles import brute_tree_form, is_connected
 
 from domlab import claims
 from domlab.cli import main as cli_main
-from domlab.graphs import DomainError, ResourceError, VertexSet, bit_indices, bits_of, closed_cover_bits
+from domlab.graphs import DomainError, VertexSet, bit_indices, bits_of, closed_cover_bits
 from domlab.families import complete, cycle, lollipop, path, pendant_pairs, rook2xn, subdivided_star
 from domlab.products import direct_product, implicit_direct_domination_check, multiway_direct_complete
 from domlab.solvers import (
@@ -18,7 +19,6 @@ from domlab.solvers import (
     is_k_packing,
     is_minimal_dominating,
     is_paired_dominating,
-    is_total_dominating,
     total_domination_number,
 )
 from domlab.claims import (
@@ -96,22 +96,24 @@ def test_paired_products_witnesses(suite):
 
 
 @pytest.mark.parametrize("orders", [(3, 3), (4, 4), (3, 3, 3), (4, 4, 4), (5, 5, 5)])
-def test_complete_product_total_set_matches_the_solver(orders):
+def test_escape_vertex_lemma_matches_the_solver(orders):
+    # gamma_t >= t+1 on every complete product, with equality once every
+    # order is at least t+1; (3,3,3) sits below that and gives 5
+    t = len(orders)
+    cert = total_domination_number(multiway_direct_complete(orders))
+    assert cert.exact and cert.value >= t + 1
+    assert cert.value == (t + 1 if min(orders) >= t + 1 else 5)
+
+
+@pytest.mark.parametrize("orders", [(3, 4, 5), (5, 5, 5, 5)])
+def test_escape_vertex_is_adjacent_to_none_of_its_t_vertices(orders):
     g = multiway_direct_complete(orders)
-    gamma_t = total_domination_number(g).value
-    for size in range(3, gamma_t):
-        assert claims.complete_product_total_set(orders, size) is None, size
-    found = claims.complete_product_total_set(orders, gamma_t)
-    assert len(found) == gamma_t and is_total_dominating(g, VertexSet.of(g, found))
-
-
-def test_complete_product_total_set_guards():
-    with pytest.raises(DomainError):
-        claims.complete_product_total_set((2, 4, 4), 3)
-    with pytest.raises(DomainError):
-        claims.complete_product_total_set((4, 4, 4), 2)
-    with pytest.raises(ResourceError):
-        claims.complete_product_total_set((5, 5, 5, 5), 4, Budget(max_nodes=1_000))
+    w = [prod(orders[i + 1 :]) for i in range(len(orders))]
+    rng = random.Random(7)
+    for _ in range(500):
+        ds = [rng.randrange(g.n) for _ in orders]
+        x = sum(wi * (d // wi % n) for wi, n, d in zip(w, orders, ds))
+        assert not any(g.adj[x] >> d & 1 for d in ds), ds
 
 
 def test_lollipop_product_witnesses(suite):
@@ -260,34 +262,45 @@ def _unsettled(cert):
     return dataclasses.replace(cert, exact=False, hi=cert.hi + 2)
 
 
-def test_wrong_value_then_unsettled_is_refuted_for_complete_products(monkeypatch):
-    # the first size-t search claims a cover, the second runs out of budget
-    real = claims.complete_product_total_set
+def _padded(g, diag, pairing):
+    """The witness plus one adjacent pair of vertices outside it."""
+    u = next(v for v in range(g.n) if v not in diag)
+    w = next(x for x in bit_indices(g.adj[u]) if x not in diag)
+    return g, VertexSet(g, diag.bits | 1 << u | 1 << w), pairing + ((min(u, w), max(u, w)),)
+
+
+def _one_pair_short(g, diag, pairing):
+    """The witness without its last pair."""
+    u, w = pairing[-1]
+    return g, VertexSet(g, diag.bits & ~(1 << u | 1 << w)), pairing[:-1]
+
+
+def _patch_witnesses(monkeypatch, edits):
+    """Rebinds appended_path_paired_witness so that its i-th call returns
+    edits[i] applied to the real witness."""
+    real = claims.appended_path_paired_witness
     calls = []
 
-    def patched(orders, size, budget):
+    def patched(orders, ell):
         calls.append(orders)
-        return [0, 1, 2] if len(calls) == 1 else real(orders, size, Budget(max_nodes=1))
+        return edits[len(calls) - 1](*real(orders, ell))
 
-    monkeypatch.setattr(claims, "complete_product_total_set", patched)
+    monkeypatch.setattr(claims, "appended_path_paired_witness", patched)
+
+
+def test_wrong_value_then_unsettled_is_refuted_for_complete_products(monkeypatch):
+    # [4,4,4] gets an invalid witness, then [5,5,5] one that settles no value
+    _patch_witnesses(monkeypatch, [_one_pair_short, _padded])
     rep = claims.check_complete_products_paired(order_lists=((4, 4, 4), (5, 5, 5)))
     assert rep.status == "refuted"
-    assert rep.witnesses["counterexample[4,4,4]"] == [0, 1, 2]
-    assert "gamma_pr[4,4,4]" not in rep.values and rep.values["gamma_pr_hi[5,5,5]"] == 4
-    assert "[5,5,5]: the budget ran out before size 3 was refuted" in rep.notes
+    assert "diagonal witness invalid on [4,4,4]" in rep.notes
+    assert "gamma_pr[4,4,4]" not in rep.witnesses and "gamma_pr[5,5,5]" not in rep.values
+    assert (rep.values["gamma_pr_lo[5,5,5]"], rep.values["gamma_pr_hi[5,5,5]"]) == (4, 6)
 
 
 def test_witness_above_the_lower_end_leaves_complete_products_bounds_only(monkeypatch):
     # a valid witness two vertices above t+1 rounded up to even pins no value
-    real = claims.appended_path_paired_witness
-
-    def padded(orders, ell):
-        g, diag, pairing = real(orders, ell)
-        u = next(v for v in range(g.n) if v not in diag)
-        w = next(x for x in bit_indices(g.adj[u]) if x not in diag)
-        return g, VertexSet(g, diag.bits | 1 << u | 1 << w), pairing + ((min(u, w), max(u, w)),)
-
-    monkeypatch.setattr(claims, "appended_path_paired_witness", padded)
+    _patch_witnesses(monkeypatch, [_padded])
     rep = claims.check_complete_products_paired(order_lists=((4, 4, 4),))
     assert rep.status == "bounds-only"
     assert "gamma_pr[4,4,4]" not in rep.values
@@ -321,4 +334,4 @@ def test_lollipop_note_explains_only_orders_below_the_bound_premise():
     rep = claims.check_lollipop_product_witness(orders=(7, 7, 7), cases=((0, 0),))
     assert rep.status == "bounds-only"
     assert rep.notes.endswith("are not computed; (0,0): size 16 > bound 8")
-    assert "sit below" not in rep.notes and "randomized search" not in rep.notes
+    assert "sit below" not in rep.notes

@@ -430,7 +430,10 @@ def check_lollipop_product_witness(orders=(4, 4, 4), cases=((0, 0), (0, 1), (1, 
             right = lollipop(right, 1, attach)
             members = sorted(set(members) | {(x, attach) for x in lmem})
             valid &= implicit_direct_domination_check(left, right, members)
-        valid &= _paired_via_member_graph(left, right, members)
+        try:
+            valid &= _paired_via_member_graph(left, right, members)
+        except ResourceError:
+            rep.record(SKIPPED, f"({key}): {len(members)} stage members exceed the matching cap")
         bound = 2 ** (a + b) * ((a + 2) * t + 2 * a + 2) + 2**b * b * (t + a + 2)
         size = len(members)
         rep.values[f"size[{key}]"] = size

@@ -288,7 +288,10 @@ def build_family(spec: FamilySpec) -> Graph:
     _validate(spec)
     f = spec.family
     if f == "lollipop":
-        g = lollipop(build_family(spec.inner), spec.params[0], spec.anchor)
+        g = build_family(spec.inner)
+        if not 0 <= spec.anchor < g.n:
+            raise DomainError(f"lollipop anchor {spec.anchor} outside the inner graph's {g.n} vertices")
+        g = lollipop(g, spec.params[0], spec.anchor)
     elif f == "pendant_pairs":
         g = pendant_pairs(build_family(spec.inner))
     elif f == "complete":

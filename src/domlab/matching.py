@@ -29,23 +29,8 @@ def has_perfect_matching(g: Graph):
             return False, None
     memo = {0: True}
     adj = g.adj
-
-    def feasible(mask: int) -> bool:
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
-        v = (mask & -mask).bit_length() - 1
-        ok = False
-        rest = mask & ~(1 << v)
-        for u in bit_indices(adj[v] & rest):
-            if feasible(rest & ~(1 << u)):
-                ok = True
-                break
-        memo[mask] = ok
-        return ok
-
     full = g.full_bits()
-    if not feasible(full):
+    if not _feasible(adj, memo, full):
         return False, None
     pairs = []
     mask = full
@@ -53,13 +38,28 @@ def has_perfect_matching(g: Graph):
         v = (mask & -mask).bit_length() - 1
         rest = mask & ~(1 << v)
         for u in bit_indices(adj[v] & rest):
-            if feasible(rest & ~(1 << u)):
+            if _feasible(adj, memo, rest & ~(1 << u)):
                 pairs.append((v, u))
                 mask = rest & ~(1 << u)
                 break
     witness = tuple(pairs)
     _assert_matching(g, witness)
     return True, witness
+
+
+def _feasible(adj, memo, mask: int) -> bool:
+    """Whether mask's vertices have a perfect matching; depth <= MATCHING_CAP / 2."""
+    hit = memo.get(mask)
+    if hit is not None:
+        return hit
+    v = (mask & -mask).bit_length() - 1
+    rest = mask & ~(1 << v)
+    for u in bit_indices(adj[v] & rest):
+        if _feasible(adj, memo, rest & ~(1 << u)):
+            memo[mask] = True
+            return True
+    memo[mask] = False
+    return False
 
 
 def _assert_matching(g: Graph, pairs):

@@ -25,8 +25,9 @@ where a cap computed from the coverer counts shows it cannot prune, and at
 the last pick. upper_gamma runs include/exclude branch-and-bound over
 irredundant sets (each member covers a vertex no other member covers) on
 masks of the vertices covered once and twice, and rho_k and alpha a maximum
-independent set search bounded by the part count of a clique partition. One
-enumeration of minimal covers, extending irredundant sets instead of
+independent set search bounded by the part count of a clique partition. All
+three run on explicit stacks, so the call stack bounds none of their depths.
+One enumeration of minimal covers, extending irredundant sets instead of
 scanning all subsets, backs the upper_gamma fallback and oracle and the
 minimal total dominating sizes.
 
@@ -293,9 +294,10 @@ def _cover_search(cov, dis, coverers, full, maxcov, tracker):
     """search(size) -> indices of `size` disjoint elements covering full, or
     None; what does not depend on the size is built once, here.
 
-    The search branches on the uncovered vertex with the fewest coverers
-    (lowest index on ties), trying them in index order, and prunes a node by
-    two lower bounds on the picks still needed:
+    The search runs depth-first on an explicit stack of (covered, used,
+    picks) nodes. It branches on the uncovered vertex with the fewest
+    coverers (lowest index on ties), pushed in reverse to pop in index
+    order, and prunes a node by two lower bounds on the picks still needed:
 
     - counting: no pick covers more than maxcov vertices;
     - disjoint coverers: walking the uncovered vertices fewest coverers
@@ -309,7 +311,7 @@ def _cover_search(cov, dis, coverers, full, maxcov, tracker):
     (their sizes, smallest first, must fit into the element count), so it is
     skipped once the picks left reach cap. It is also skipped at the last
     pick, where each child is one check in the branching loop (still one
-    node each) instead of a call."""
+    node each) instead of a pushed node."""
     counts = [len(c) for c in coverers]
     min_c = min(counts)
     order = sorted(range(len(coverers)), key=counts.__getitem__)
@@ -323,18 +325,16 @@ def _cover_search(cov, dis, coverers, full, maxcov, tracker):
         cap += 1
 
     def search(size):
-        chosen = []
-
-        def rec(covered, used, depth):
+        stack = [(0, 0, ())]
+        while stack:
+            covered, used, picks = stack.pop()
             tracker.tick()
             if covered == full:
-                return True
-            left = size - depth
-            if not left:
-                return False
+                return picks
+            left = size - len(picks)
             unc = full & ~covered
             if left * maxcov < unc.bit_count():
-                return False
+                continue
             if 1 < left < cap:
                 seen = need = 0
                 for bit, cmask in walk:
@@ -342,7 +342,9 @@ def _cover_search(cov, dis, coverers, full, maxcov, tracker):
                         seen |= cmask
                         need += 1
                         if need > left:
-                            return False
+                            break
+                if need > left:
+                    continue
             best_v = -1
             best_c = 1 << 30
             scan = unc
@@ -361,20 +363,13 @@ def _cover_search(cov, dis, coverers, full, maxcov, tracker):
                         continue
                     tracker.tick()
                     if covered | cov[i] == full:
-                        chosen.append(i)
-                        return True
-                return False
-            for i in coverers[best_v]:
+                        return picks + (i,)
+                continue
+            for i in reversed(coverers[best_v]):
                 d = dis[i]
-                if used & d:
-                    continue
-                chosen.append(i)
-                if rec(covered | cov[i], used | d, depth + 1):
-                    return True
-                chosen.pop()
-            return False
-
-        return tuple(chosen) if rec(0, 0, 0) else None
+                if not used & d:
+                    stack.append((covered | cov[i], used | d, picks + (i,)))
+        return None
 
     return search
 
@@ -408,9 +403,7 @@ def _min_cover(gc: Graph, cov, ends, tracker) -> _Part:
         for size in range(lb, top):
             try:
                 found = search(size)
-            except (_BudgetExceeded, RecursionError):
-                # the search recurses once per pick, so a cover deeper than
-                # the call stack ends this size like a spent budget
+            except _BudgetExceeded:
                 return _cover_part(w * size, w * top, picked, False)
             if found is not None:
                 return _cover_part(w * size, w * size, [ends[i] for i in found], True)
@@ -741,28 +734,29 @@ def _minimal_covers(cover, full: int) -> dict:
     loses its last private vertex visits each irredundant mask once. It
     visits every minimal cover, so each size keeps the all-subsets lowest."""
     found = {}
-
-    def extend(mask, once, twice, start, members):
-        if once == full:
-            size = mask.bit_count()
-            if mask < found.get(size, mask + 1):
-                found[size] = mask
-            return
-        for v in range(start, len(cover)):
-            c = cover[v]
-            if not c & ~once:
-                continue
-            both = twice | once & c
-            for d in members:
-                if not d & ~both:
-                    break
-            else:
-                members.append(c)
-                extend(mask | 1 << v, once | c, both, v + 1, members)
-                members.pop()
-
-    extend(0, 0, 0, 0, [])
+    _extend_covers(cover, full, found, 0, 0, 0, 0, [])
     return found
+
+
+def _extend_covers(cover, full, found, mask, once, twice, start, members):
+    """_minimal_covers' step from mask: one level per member, order-capped."""
+    if once == full:
+        size = mask.bit_count()
+        if mask < found.get(size, mask + 1):
+            found[size] = mask
+        return
+    for v in range(start, len(cover)):
+        c = cover[v]
+        if not c & ~once:
+            continue
+        both = twice | once & c
+        for d in members:
+            if not d & ~both:
+                break
+        else:
+            members.append(c)
+            _extend_covers(cover, full, found, mask | 1 << v, once | c, both, v + 1, members)
+            members.pop()
 
 
 def minimal_total_dominating_sizes(g: Graph) -> set:

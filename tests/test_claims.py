@@ -330,6 +330,14 @@ def test_lollipop_stage_without_a_perfect_matching_is_refuted(monkeypatch):
     assert rep.status == "refuted"
 
 
+def test_lollipop_stage_over_the_matching_cap_is_skipped():
+    # four factors give a 36-member stage graph, over the matching DP's cap
+    rep = claims.check_lollipop_product_witness(orders=(5, 5, 5, 5), cases=((0, 0),))
+    assert rep.status == "skipped-resource"
+    assert "(0,0): 36 stage members exceed the matching cap" in rep.notes
+    assert rep.values["size[0,0]"] == 36
+
+
 def test_lollipop_note_explains_only_orders_below_the_bound_premise():
     rep = claims.check_lollipop_product_witness(orders=(7, 7, 7), cases=((0, 0),))
     assert rep.status == "bounds-only"

@@ -52,6 +52,11 @@ def test_construct_resource_guard(capsys):
     assert code == 4 and "cap" in err
 
 
+def test_construct_anchor_outside_the_inner_graph_exits_2(capsys):
+    code, out, err = run_cli(capsys, "construct", "lollipop(complete:3):2@5")
+    assert code == 2 and out == "" and _one_line_error(err) and "anchor 5" in err
+
+
 def _write(tmp_path, spec, name):
     p = tmp_path / name
     p.write_text(write_graph_text(build_family(parse_family_spec(spec))))
@@ -142,9 +147,10 @@ def test_compute_budget_exhaustion_exits_3(tmp_path, capsys):
     assert "bounds = [3, 5]" in out and "exact = false" in out
 
 
-def test_compute_search_deeper_than_the_call_stack_exits_3(tmp_path, capsys):
+def test_compute_search_deeper_than_the_call_stack_exits_0(tmp_path, capsys):
     # gamma_t of a 300-cycle plus a hub joined to vertices 0..99 is 102; its
-    # size-101 search runs deeper than the lowered stack allows
+    # size-101 search goes deeper than the lowered limit would let a
+    # recursion go, and still ends exact
     n = 300
     hub = Graph(n + 1, [(i, (i + 1) % n) for i in range(n)] + [(n, i) for i in range(100)])
     p = tmp_path / "hub.adj"
@@ -155,8 +161,8 @@ def test_compute_search_deeper_than_the_call_stack_exits_3(tmp_path, capsys):
         code, out, err = run_cli(capsys, "compute", "gamma_t", str(p))
     finally:
         sys.setrecursionlimit(old)
-    assert code == 3 and err == ""
-    assert "bounds = [101, 102]" in out and "exact = false" in out
+    assert code == 0 and err == ""
+    assert "value = 102" in out and "exact = true" in out
 
 
 def test_env_budget_applies(tmp_path, capsys, monkeypatch):
@@ -257,6 +263,13 @@ def test_scan_usage_errors(capsys):
     assert run_cli(capsys, "scan", "--family", "", "--max-n", "4")[0] == 2
     assert run_cli(capsys, "scan", "--family", "trees", "--min-n", "6", "--max-n", "4")[0] == 2
     assert run_cli(capsys, "scan", "--family", "nosuch:N", "--max-n", "3")[0] == 2
+
+
+def test_scan_anchor_outside_the_inner_graph_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "scan", "--family", "lollipop(complete:N):2@5", "--min-n", "2", "--max-n", "7"
+    )
+    assert code == 2 and out == "" and _one_line_error(err) and "anchor 5" in err
 
 
 def test_scan_rejects_bad_env_budget(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Exact solvers: frozen values, certificates, budgets, witness constructions."""
 
+import gc
 import inspect
 import os
 import random
@@ -46,6 +47,7 @@ from domlab.families import (
     subdivided_star,
 )
 from domlab.products import direct_product, multiway_direct_complete, product_pairing_is_valid
+from domlab.matching import has_perfect_matching
 from domlab.claims import appended_path_paired_witness, pendant_product_dominating
 from domlab.solvers import (
     Budget,
@@ -278,9 +280,10 @@ def _hub_cycle(n, spokes):
     return Graph(n + 1, [(i, (i + 1) % n) for i in range(n)] + [(n, i) for i in range(spokes)])
 
 
-def test_cover_search_deeper_than_the_call_stack_ends_like_a_spent_budget():
-    # The cover search recurses once per pick, and gamma_t of this graph is
-    # 102, so its size-101 search runs deeper than the lowered stack allows.
+def test_cover_search_deeper_than_the_call_stack_is_exact():
+    # gamma_t of this graph is 102, so its size-101 search goes deeper than
+    # the lowered limit would let a recursion go; the search runs on its own
+    # stack, so the limit changes nothing.
     g = _hub_cycle(300, 100)
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
@@ -288,9 +291,36 @@ def test_cover_search_deeper_than_the_call_stack_ends_like_a_spent_budget():
         c = total_domination_number(g)
     finally:
         sys.setrecursionlimit(old)
-    assert (c.lo, c.hi, c.exact) == (101, 102, False)
-    assert len(c.witness) == c.hi and is_total_dominating(g, c.witness)
-    assert total_domination_number(g).value == 102
+    assert (c.value, c.nodes) == (102, 298)
+    assert len(c.witness) == 102 and is_total_dominating(g, c.witness)
+    assert total_domination_number(g) == c
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # No search state refers to itself, so a search's objects are freed by
+    # reference counting as it returns, even when a spent budget ends it.
+    k5 = multiway_direct_complete([5, 5, 5, 5])
+    prod, _ = direct_product(
+        build_family(parse_family_spec("random_graph:7:50#21008106")),
+        build_family(parse_family_spec("random_graph:8:50#21000188")),
+    )
+    calls = [
+        lambda: total_domination_number(k5, Budget(max_nodes=500_000)),
+        lambda: domination_number(prod),
+        lambda: has_perfect_matching(complete(8)),
+        lambda: minimal_total_dominating_sizes(rook2xn(5)),
+        lambda: upper_domination_exhaustive(rook2xn(4)),
+    ]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for i, call in enumerate(calls):
+            call()
+            assert gc.collect() == 0, i
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _mis_cases():

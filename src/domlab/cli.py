@@ -111,11 +111,17 @@ def cmd_compute(args) -> int:
     if len(args.graphs) == 2 and not args.product:
         _err("two graphs need --product direct|cartesian")
         return EXIT_USAGE
+    if len(args.graphs) == 1 and args.product:
+        _err("--product needs two graphs")
+        return EXIT_USAGE
     if args.param == "rho_k" and args.k is None:
         _err("rho_k needs --k")
         return EXIT_USAGE
     if args.param != "rho_k" and args.k is not None:
         _err("--k applies only to rho_k")
+        return EXIT_USAGE
+    if args.k is not None and args.k < 1:
+        _err("k must be at least 1")
         return EXIT_USAGE
     try:
         budget = _budget(args)

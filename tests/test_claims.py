@@ -15,6 +15,7 @@ from domlab.families import complete, cycle, lollipop, path, pendant_pairs, rook
 from domlab.products import direct_product, implicit_direct_domination_check, multiway_direct_complete
 from domlab.solvers import (
     Budget,
+    domination_number,
     is_dominating,
     is_k_packing,
     is_minimal_dominating,
@@ -95,25 +96,61 @@ def test_paired_products_witnesses(suite):
         assert is_paired_dominating(g, wit)
 
 
-@pytest.mark.parametrize("orders", [(3, 3), (4, 4), (3, 3, 3), (4, 4, 4), (5, 5, 5)])
+@pytest.mark.parametrize("orders", [(3, 3), (4, 4), (3, 3, 3), (4, 4, 4), (5, 4, 4), (5, 5, 5)])
 def test_escape_vertex_lemma_matches_the_solver(orders):
-    # gamma_t >= t+1 on every complete product, with equality once every
-    # order is at least t+1; (3,3,3) sits below that and gives 5
+    # gamma and gamma_t are at least t+1 on every complete product, with
+    # equality once every order is at least t+1; (3,3,3) sits below that,
+    # where gamma is still 4 but gamma_t is 5
     t = len(orders)
-    cert = total_domination_number(multiway_direct_complete(orders))
-    assert cert.exact and cert.value >= t + 1
-    assert cert.value == (t + 1 if min(orders) >= t + 1 else 5)
+    g = multiway_direct_complete(orders)
+    gc = domination_number(g)
+    tc = total_domination_number(g)
+    assert gc.exact and tc.exact
+    assert gc.value == t + 1
+    assert tc.value == (t + 1 if min(orders) >= t + 1 else 5)
+
+
+def _escape_vertex(orders, ds, shift):
+    """The lemma's tuple for the vertices ds: coordinate i from ds[i]; with
+    shift, a tuple equal to some ds[j] has coordinate j moved to a value no
+    member has there."""
+    w = [prod(orders[i + 1 :]) for i in range(len(orders))]
+    coords = [d // wi % n for wi, n, d in zip(w, orders, ds)]
+    x = sum(wi * c for wi, c in zip(w, coords))
+    if shift and x in ds:
+        j = ds.index(x)
+        coords[j] = min(set(range(orders[j])) - {d // w[j] % orders[j] for d in ds})
+        x = sum(wi * c for wi, c in zip(w, coords))
+    return x
 
 
 @pytest.mark.parametrize("orders", [(3, 4, 5), (5, 5, 5, 5)])
 def test_escape_vertex_is_adjacent_to_none_of_its_t_vertices(orders):
     g = multiway_direct_complete(orders)
-    w = [prod(orders[i + 1 :]) for i in range(len(orders))]
     rng = random.Random(7)
     for _ in range(500):
         ds = [rng.randrange(g.n) for _ in orders]
-        x = sum(wi * (d // wi % n) for wi, n, d in zip(w, orders, ds))
+        x = _escape_vertex(orders, ds, shift=False)
         assert not any(g.adj[x] >> d & 1 for d in ds), ds
+
+
+@pytest.mark.parametrize("orders", [(3, 3), (4, 4, 4), (5, 4, 4), (4, 5, 6), (5, 5, 5, 5)])
+def test_shifted_escape_vertex_is_undominated_by_its_t_vertices(orders):
+    # every order is at least t+1, so no t vertices dominate: the tuple lies
+    # outside them and is adjacent to none of them
+    g = multiway_direct_complete(orders)
+    t = len(orders)
+    rng = random.Random(7)
+    shifted = 0
+    for k in range(500):
+        ds = rng.sample(range(g.n), t)
+        if k % 2:
+            # making ds[j] the lemma's own tuple leaves that tuple unchanged
+            ds[rng.randrange(t)] = _escape_vertex(orders, ds, shift=False)
+        y = _escape_vertex(orders, ds, shift=True)
+        assert y not in ds and not any(g.adj[y] >> d & 1 for d in ds), ds
+        shifted += y != _escape_vertex(orders, ds, shift=False)
+    assert shifted >= 250
 
 
 def test_lollipop_product_witnesses(suite):
@@ -188,6 +225,17 @@ def test_check_function_subset_call():
     assert rep.values == {"gamma[4,4,4]": 4, "gamma_t[4,4,4]": 4}
     rep2 = check_subdivided_star_ratio_trend(ns=(2,))
     assert rep2.status == "verified" and rep2.values["ratio[2]"] == 0.75
+
+
+def test_complete_products_domination_runs_no_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("complete-products-domination ran a search")
+
+    monkeypatch.setattr(claims, "domination_number", no_search)
+    rep = check_complete_products_domination()
+    assert rep.status == "verified"
+    assert rep.values == {"gamma[4,4,4]": 4, "gamma_t[4,4,4]": 4, "gamma[5,4,4]": 4, "gamma_t[5,4,4]": 4}
+    assert rep.witnesses == {"gamma[4,4,4]": [0, 21, 42, 63], "gamma[5,4,4]": [0, 21, 42, 63]}
 
 
 def test_ratio_scan_basic():
@@ -275,6 +323,10 @@ def _one_pair_short(g, diag, pairing):
     return g, VertexSet(g, diag.bits & ~(1 << u | 1 << w)), pairing[:-1]
 
 
+def _same_witness(g, diag, pairing):
+    return g, diag, pairing
+
+
 def _patch_witnesses(monkeypatch, edits):
     """Rebinds appended_path_paired_witness so that its i-th call returns
     edits[i] applied to the real witness."""
@@ -306,6 +358,15 @@ def test_witness_above_the_lower_end_leaves_complete_products_bounds_only(monkey
     assert "gamma_pr[4,4,4]" not in rep.values
     assert (rep.values["gamma_pr_lo[4,4,4]"], rep.values["gamma_pr_hi[4,4,4]"]) == (4, 6)
     assert "[4,4,4]: the witness has 6 vertices, the lower end 4" in rep.notes
+
+
+def test_diagonal_off_its_size_is_refuted_for_complete_products(monkeypatch):
+    # a dominating set of 6 members at [4,4,4] is no diagonal of size t+1
+    _patch_witnesses(monkeypatch, [_padded, _same_witness])
+    rep = check_complete_products_domination()
+    assert rep.status == "refuted"
+    assert rep.notes == "diagonal witness invalid on [4,4,4]"
+    assert rep.values == {"gamma[5,4,4]": 4, "gamma_t[5,4,4]": 4}
 
 
 def test_wrong_value_then_unsettled_is_refuted_for_appended_paths(monkeypatch):

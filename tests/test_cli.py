@@ -109,6 +109,20 @@ def test_compute_k_on_other_parameter_exits_2(tmp_path, capsys, param):
     assert (code, out, err) == (2, "", "domlab: --k applies only to rho_k\n")
 
 
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_compute_rho_k_below_1_exits_2_before_loading(capsys, k):
+    # the file does not exist, so a load before the flag check would name it
+    code, out, err = run_cli(capsys, "compute", "rho_k", "/nonexistent/g.adj", "--k", k)
+    assert (code, out, err) == (2, "", "domlab: k must be at least 1\n")
+
+
+def test_compute_product_on_one_graph_exits_2(tmp_path, capsys):
+    # an ignored --product would print gamma of the single graph
+    p7 = _write(tmp_path, "path:7", "p7.adj")
+    code, out, err = run_cli(capsys, "compute", "gamma", p7, "--product", "direct")
+    assert (code, out, err) == (2, "", "domlab: --product needs two graphs\n")
+
+
 def test_compute_missing_file(capsys):
     code, _, _ = run_cli(capsys, "compute", "gamma", "/nonexistent/g.adj")
     assert code == 2

@@ -15,7 +15,6 @@ same seed produce identical reports.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from itertools import product as iter_product
@@ -153,6 +152,13 @@ def _isolated_free_graph(n, pct, seed):
 # constructive witnesses on complete-graph products
 
 
+def _mixed_radix_weights(orders):
+    w = [1] * len(orders)
+    for i in range(len(orders) - 2, -1, -1):
+        w[i] = w[i + 1] * orders[i + 1]
+    return w
+
+
 def appended_path_paired_witness(orders, ell: int):
     """Paired dominating witness on a complete-graph product with a length-ell
     path appended at the all-zero tuple. Returns (graph, witness, pairing).
@@ -172,7 +178,7 @@ def appended_path_paired_witness(orders, ell: int):
         raise DomainError("factor orders must be at least t+1")
     base = multiway_direct_complete(orders)
     g = lollipop(base, ell, 0)
-    w = [math.prod(orders[i + 1 :]) for i in range(t)]  # mixed-radix place values
+    w = _mixed_radix_weights(orders)
     step = sum(w)
     diag = [i * step for i in range(t + 1)]
     filler = [w[0]] if (t + 1 + ell) % 2 else []
@@ -194,23 +200,24 @@ def appended_path_paired_witness(orders, ell: int):
 
 def check_complete_products_domination(order_lists=((4, 4, 4), (5, 4, 4))) -> ClaimReport:
     """Domination and total domination both equal t+1 on products of t complete
-    graphs of order at least t+1, with no search. The upper end is the
-    constant-tuple diagonal, whose t+1 members dominate and totally dominate.
-    The lower end is the escape-vertex lemma (Mekis, Lower bounds for the
-    domination number and the total domination number of direct product
-    graphs, 2010): for any t vertices d_1..d_t, the tuple x with
-    x_i = (d_i)_i agrees with each d_i in coordinate i, so no d_i is adjacent
-    to x. If x is some d_j, move coordinate j of x to a value that no d_k has
-    there; at most t values are barred and n_j >= t+1, so one is left. The
-    new tuple lies outside the d_k and still agrees with each d_i: with d_i
-    (i != j) in coordinate i, and with d_j in every other coordinate (t >= 2).
-    So no t vertices dominate, gamma >= t+1, and gamma_t >= gamma."""
+    graphs of order at least t+1, with no search. Upper end: the t+1 diagonal
+    tuples (i,...,i) totally dominate. Lower end: the escape-vertex lemma
+    (Mekis, Lower bounds for the domination number and the total domination
+    number of direct product graphs, 2010). For any t vertices d_1..d_t, the
+    tuple x with x_i = (d_i)_i agrees with each d_i in coordinate i, so no d_i
+    is adjacent to x. If x is some d_j, move coordinate j of x to a value no
+    d_k has there; at most t values are barred and n_j >= t+1, so one is left.
+    The new tuple lies outside the d_k and still agrees with each d_i: with
+    d_i (i != j) in coordinate i, and with d_j in every other coordinate
+    (t >= 2). So no t vertices dominate, gamma >= t+1, and gamma_t >= gamma."""
     rep = _ReportBuilder("complete-products-domination")
     for orders in order_lists:
         t = len(orders)
         key = _orders_key(orders)
-        g, diag, _ = appended_path_paired_witness(orders, 0)
-        if not (len(diag) == t + 1 and is_dominating(g, diag) and is_total_dominating(g, diag)):
+        g, witness, _ = appended_path_paired_witness(orders, 0)
+        # the diagonal is the paired witness less its filler (1,0,...,0)
+        diag = VertexSet(g, witness.bits & ~(1 << _mixed_radix_weights(orders)[0]))
+        if not (len(diag) == t + 1 and is_total_dominating(g, diag)):
             rep.record(REFUTED, f"diagonal witness invalid on [{key}]")
             continue
         rep.values[f"gamma[{key}]"] = t + 1
@@ -498,7 +505,9 @@ def check_tree_product_half_bound(count=50, max_order=7, seed=7) -> ClaimReport:
         t2 = random_tree(n2, seed * 2_000_003 + 2 * i + 1)
         (row,) = ratio_scan([(t1, t2)])
         if row.status != VERIFIED:
-            rep.record(SKIPPED, f"{t1.label} x {t2.label}: budget exhausted")
+            # ratio_scan keeps partial bounds on a budget skip only
+            why = "budget exhausted" if "gamma_pr_product_lo" in row.values else row.notes
+            rep.record(SKIPPED, f"{t1.label} x {t2.label}: {why}")
             continue
         v = row.values
         lhs2 = 2 * v["gamma_pr_product"]

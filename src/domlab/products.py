@@ -3,7 +3,6 @@ domination checks that never materialize the product."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .graphs import ORDER_CAP, DomainError, Graph, ResourceError, bit_indices
@@ -89,7 +88,10 @@ def multiway_direct_complete(orders) -> Graph:
         raise DomainError("need at least one factor order")
     if any(n < 2 for n in orders):
         raise DomainError("every factor order must be at least 2")
-    _cap_check(math.prod(orders), "complete-graph product")
+    total = 1
+    for n in orders:
+        total *= n
+    _cap_check(total, "complete-graph product")
     acc = _complete_rows(orders[0])
     for n in orders[1:]:
         acc, _ = direct_product(acc, _complete_rows(n))

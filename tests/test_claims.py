@@ -10,7 +10,7 @@ from oracles import brute_tree_form, is_connected
 
 from domlab import claims
 from domlab.cli import main as cli_main
-from domlab.graphs import DomainError, VertexSet, bit_indices, bits_of, closed_cover_bits
+from domlab.graphs import DomainError, ResourceError, VertexSet, bit_indices, bits_of, closed_cover_bits
 from domlab.families import complete, cycle, lollipop, path, pendant_pairs, rook2xn, subdivided_star
 from domlab.products import direct_product, implicit_direct_domination_check, multiway_direct_complete
 from domlab.solvers import (
@@ -26,6 +26,7 @@ from domlab.claims import (
     SUITE_ORDER,
     check_complete_products_domination,
     check_subdivided_star_ratio_trend,
+    check_tree_product_half_bound,
     distinct_trees,
     ratio_scan,
     run_suite,
@@ -236,6 +237,24 @@ def test_complete_products_domination_runs_no_search(monkeypatch):
     assert rep.status == "verified"
     assert rep.values == {"gamma[4,4,4]": 4, "gamma_t[4,4,4]": 4, "gamma[5,4,4]": 4, "gamma_t[5,4,4]": 4}
     assert rep.witnesses == {"gamma[4,4,4]": [0, 21, 42, 63], "gamma[5,4,4]": [0, 21, 42, 63]}
+
+
+def test_complete_products_domination_with_an_even_factor_count():
+    # t = 4: the paired witness carries the filler (1,0,0,0), the diagonal does not
+    rep = check_complete_products_domination(order_lists=((5, 5, 5, 5),))
+    assert rep.status == "verified"
+    assert rep.values == {"gamma[5,5,5,5]": 5, "gamma_t[5,5,5,5]": 5}
+    assert rep.witnesses == {"gamma[5,5,5,5]": [0, 156, 312, 468, 624]}
+
+
+def test_half_bound_skip_keeps_the_resource_reason(monkeypatch):
+    def over_cap(g, h):
+        raise ResourceError("product over the order cap")
+
+    monkeypatch.setattr(claims, "direct_product", over_cap)
+    rep = check_tree_product_half_bound(count=1)
+    assert rep.status == "skipped-resource"
+    assert rep.notes.split("; ")[0].endswith(": product over the order cap")
 
 
 def test_ratio_scan_basic():

@@ -41,12 +41,10 @@ from .graphs import (
     has_isolated_vertex,
     homed_bits,
 )
-from .matching import has_perfect_matching
 from .products import (
     direct_product,
     implicit_direct_domination_check,
     multiway_direct_complete,
-    product_pair_adjacent,
     product_pairing_is_valid,
 )
 from .solvers import (
@@ -56,7 +54,6 @@ from .solvers import (
     is_dominating,
     is_k_packing,
     is_minimal_dominating,
-    is_paired_dominating,
     is_total_dominating,
     minimal_total_dominating_sizes,
     packing_number,
@@ -238,8 +235,8 @@ def check_complete_products_paired(order_lists=((4, 4, 4), (7, 7, 7), (5, 5, 5, 
         t = len(orders)
         key = _orders_key(orders)
         lo = t + 1 + (t + 1) % 2
-        g, diag, _ = appended_path_paired_witness(orders, 0)
-        if not is_paired_dominating(g, diag):
+        g, diag, pairing = appended_path_paired_witness(orders, 0)
+        if not (is_dominating(g, diag) and pairing_is_valid(g, diag, pairing)):
             rep.record(REFUTED, f"diagonal witness invalid on [{key}]")
             continue
         rep.witnesses[f"gamma_pr[{key}]"] = _members(diag)
@@ -376,65 +373,57 @@ def check_appended_path_monotonicity(cases=None) -> ClaimReport:
 # the two-sided appended-path product construction
 
 
-def _paired_via_member_graph(left, right, members):
-    """Perfect-matching test on the member-induced subgraph, built from the
-    coordinate adjacency predicate so the product is never materialized."""
-    k = len(members)
-    edges = [
-        (i, j)
-        for i in range(k)
-        for j in range(i + 1, k)
-        if product_pair_adjacent(left, right, members[i], members[j])
-    ]
-    ok, _ = has_perfect_matching(Graph(k, edges))
-    return ok
-
-
 def check_lollipop_product_witness(orders=(4, 4, 4), cases=((0, 0), (0, 1), (1, 0), (1, 1))) -> ClaimReport:
     """Builds the recursive paired dominating witness on products of two
-    appended-path extensions of a complete-graph product, validating every
-    intermediate set implicitly and each stage's members by a perfect
-    matching, and compares sizes against the closed-form bound
-    2^(a+b)((a+2)t+2a+2) + 2^b b(t+a+2)."""
+    appended-path extensions of a complete-graph product, at stages (a,b) in
+    {0,1}^2, validating every intermediate set implicitly and each stage's
+    members by an explicit pairing, and compares sizes against the closed-form
+    bound 2^(a+b)((a+2)t+2a+2) + 2^b b(t+a+2).
+
+    Stage (0,0) is D x D for the diagonal witness D, paired factor pair by
+    factor pair. Stages (0,1) and (1,0) add no members, so that pairing
+    serves them too. Stage (1,1) adds (p,d0), p the pendant at d0, and at odd
+    t also (f,d0) for the filler f = (1,0,...,0). Its pairing trades the pairs
+    (d0,d2)-(d1,d3) and (d2,d0)-(d3,d1) for (p,d0)-(d0,d2), (d1,d3)-(d2,d0)
+    and (d3,d1)-(f,d0): p ~ d0, distinct diagonal tuples differ in every
+    coordinate, and f ~ d_i for i >= 2. At even t, f is already in D, so the
+    stage adds one member; an odd member count admits no pairing, and the
+    stage is refuted."""
+    if any(not {a, b} <= {0, 1} for a, b in cases):
+        raise DomainError("lollipop stages (a,b) must lie in {0,1}^2")
     rep = _ReportBuilder("lollipop-product-witness")
     t = len(orders)
     base_g, diag, diag_pairs = appended_path_paired_witness(orders, 0)
     dmem = _members(diag)
-    base_members = sorted(iter_product(dmem, dmem))
+    base_members = set(iter_product(dmem, dmem))
     base_pairing = []
     for u, v in diag_pairs:
         for x, y in diag_pairs:
             base_pairing.append(((u, x), (v, y)))
             base_pairing.append(((u, y), (v, x)))
+    w = _mixed_radix_weights(orders)
+    d0, d1, d2, d3 = (i * sum(w) for i in range(4))
+    traded = (((d0, d2), (d1, d3)), ((d2, d0), (d3, d1)))
+    top_pairing = [pr for pr in base_pairing if pr not in traded] + [
+        ((base_g.n, d0), (d0, d2)), ((d1, d3), (d2, d0)), ((d3, d1), (w[0], d0)),
+    ]
+    pendant_g = lollipop(base_g, 1, 0)
     exceeded = []
     for a, b in cases:
         key = f"{a},{b}"
-        left = base_g
-        right = base_g
-        members = list(base_members)
-        valid = implicit_direct_domination_check(left, right, members)
-        valid &= product_pairing_is_valid(left, right, base_members, base_pairing)
-        for i in range(a):
-            attach = 0 if i == 0 else left.n - 1
-            left = lollipop(left, 1, attach)
-            members = sorted(set(members) | {(attach, y) for y in dmem})
-            valid &= implicit_direct_domination_check(left, right, members)
+        left = pendant_g if a else base_g
+        right = pendant_g if b else base_g
+        members = set(base_members)
+        valid = implicit_direct_domination_check(base_g, base_g, members)
+        if a:
+            members |= {(0, y) for y in dmem}
+            valid &= implicit_direct_domination_check(left, base_g, members)
         if b:
             lg, lvs, _ = appended_path_paired_witness(orders, a)
-            ensure(
-                lg.n == left.n and lg.adj == left.adj,
-                "appended-path graph differs from the stage graph",
-            )
-            lmem = _members(lvs)
-        for j in range(b):
-            attach = 0 if j == 0 else right.n - 1
-            right = lollipop(right, 1, attach)
-            members = sorted(set(members) | {(x, attach) for x in lmem})
+            ensure(lg.adj == left.adj, "appended-path graph differs from the stage graph")
+            members |= {(x, 0) for x in _members(lvs)}
             valid &= implicit_direct_domination_check(left, right, members)
-        try:
-            valid &= _paired_via_member_graph(left, right, members)
-        except ResourceError:
-            rep.record(SKIPPED, f"({key}): {len(members)} stage members exceed the matching cap")
+        valid &= product_pairing_is_valid(left, right, members, top_pairing if a and b else base_pairing)
         bound = 2 ** (a + b) * ((a + 2) * t + 2 * a + 2) + 2**b * b * (t + a + 2)
         size = len(members)
         rep.values[f"size[{key}]"] = size
@@ -442,7 +431,7 @@ def check_lollipop_product_witness(orders=(4, 4, 4), cases=((0, 0), (0, 1), (1, 
         rep.values[f"within_bound[{key}]"] = 1 if size <= bound else 0
         rep.witnesses[f"members[{key}]"] = sorted(x * right.n + y for x, y in members)
         if not valid:
-            rep.record(REFUTED, f"({key}): a stage set does not dominate or has no perfect matching")
+            rep.record(REFUTED, f"({key}): a stage set does not dominate or its pairing is invalid")
         if size > bound:
             exceeded.append(f"({key}): size {size} > bound {bound}")
     rep.record(

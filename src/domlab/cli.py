@@ -14,7 +14,7 @@ import sys
 
 from .claims import distinct_trees, ratio_scan, run_suite
 from .families import build_family, parse_family_spec
-from .graphs import DomainError, FormatError, ResourceError, read_graph_text, write_graph_text
+from .graphs import ORDER_CAP, DomainError, FormatError, ResourceError, read_graph_text, write_graph_text
 from .products import cartesian_product, direct_product
 from .solvers import (
     Budget,
@@ -205,15 +205,17 @@ def _scan_pairs(args):
     if args.family == "trees":
         trees = distinct_trees(max(2, args.min_n), args.max_n)
         return [(trees[i], trees[j]) for i in range(len(trees)) for j in range(i, len(trees))]
-    pairs = []
+    specs = [args.family]
     if "N" in args.family:
-        for n in range(args.min_n, args.max_n + 1):
-            spec = parse_family_spec(args.family.replace("N", str(n)))
-            g = build_family(spec)
-            pairs.append((g, g))
-    else:
-        spec = parse_family_spec(args.family)
-        g = build_family(spec)
+        specs = (args.family.replace("N", str(n)) for n in range(args.min_n, args.max_n + 1))
+    pairs = []
+    for text in specs:
+        g = build_family(parse_family_spec(text))
+        # checked per instance, so a long template stops before building the rest
+        if g.n * g.n > ORDER_CAP:
+            raise ResourceError(
+                f"{text}: its self-product would have {g.n * g.n} vertices, above the cap {ORDER_CAP}"
+            )
         pairs.append((g, g))
     return pairs
 

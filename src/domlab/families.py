@@ -6,6 +6,7 @@ Grammar (the CLI's construct argument):
     complete_product[4,4,4]      cayleypop[2,5]:3
     random_tree:9#42             random_graph:10:30#7   (edge percent 0..100)
     lollipop(<spec>):ell@anchor  pendant_pairs(<spec>)
+Only these canonical spellings parse (canonical_spec gives them back).
 """
 
 from __future__ import annotations
@@ -210,10 +211,16 @@ def canonical_spec(spec: FamilySpec) -> str:
 
 
 def parse_family_spec(text: str) -> FamilySpec:
-    spec, rest = _parse(text.strip())
+    """Parses the canonical spelling only, naming it when rejecting another:
+    a lenient reading can build a different graph than the text says."""
+    text = text.strip()
+    spec, rest = _parse(text)
     if rest:
         raise DomainError(f"trailing text {rest!r} in family spec")
     _validate(spec)
+    canonical = canonical_spec(spec)
+    if text != canonical:
+        raise DomainError(f"family spec {text!r} is not canonical; write {canonical!r}")
     return spec
 
 

@@ -1,11 +1,12 @@
 """Exact perfect-matching existence with witness, on general graphs.
 
 Strategy choice (documented contract): subset dynamic programming over the
-vertex bitmask rather than augmenting search with blossom contraction. Every
-caller feeds small candidate sets, so the DP is simpler and still exact; the
+vertex bitmask rather than augmenting search with blossom contraction. Its
+only library caller is the public predicate solvers.is_paired_dominating,
+which feeds small candidate sets, so the DP is simpler and still exact; the
 order cap is 30, and crossing it raises ResourceError instead of degrading.
-Large constructed witnesses elsewhere carry explicit pairings and never hit
-this oracle.
+Constructed witnesses, the lollipop stages included, carry explicit pairings
+as their certificates and never hit this oracle.
 """
 
 from __future__ import annotations

@@ -178,14 +178,19 @@ def private_neighbors(g: Graph, s: VertexSet, v: int) -> VertexSet:
 
 
 def is_minimal_dominating(g: Graph, s: VertexSet) -> bool:
+    """Dominating, and every member has a private neighbor: a vertex of its
+    closed neighborhood that no other member covers, which is one covered
+    exactly once. One pass collects the vertices covered at least once and at
+    least twice."""
     bits = homed_bits(g, s)
-    if closed_cover_bits(g, bits) != g.full_bits():
-        return False
+    once = twice = 0
     for v in bit_indices(bits):
-        others = closed_cover_bits(g, bits & ~(1 << v))
-        if not g.closed(v) & ~others:
-            return False
-    return True
+        nv = g.closed(v)
+        twice |= once & nv
+        once |= nv
+    if once != g.full_bits():
+        return False
+    return all(g.closed(v) & ~twice for v in bit_indices(bits))
 
 
 def is_k_packing(g: Graph, s: VertexSet, k: int) -> bool:

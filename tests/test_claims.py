@@ -6,13 +6,18 @@ import random
 from math import factorial, prod
 
 import pytest
-from oracles import brute_tree_form, is_connected
+from oracles import _subset_has_pm, brute_tree_form, is_connected
 
 from domlab import claims
 from domlab.cli import main as cli_main
-from domlab.graphs import DomainError, ResourceError, VertexSet, bit_indices, bits_of, closed_cover_bits
+from domlab.graphs import DomainError, Graph, ResourceError, VertexSet, bit_indices, bits_of, closed_cover_bits
 from domlab.families import complete, cycle, lollipop, path, pendant_pairs, rook2xn, subdivided_star
-from domlab.products import direct_product, implicit_direct_domination_check, multiway_direct_complete
+from domlab.products import (
+    direct_product,
+    implicit_direct_domination_check,
+    multiway_direct_complete,
+    product_pair_adjacent,
+)
 from domlab.solvers import (
     Budget,
     domination_number,
@@ -404,18 +409,59 @@ def test_unsettled_instance_is_skipped_not_raised(monkeypatch, capsys):
     assert "  matched = 199\n" in out
 
 
-def test_lollipop_stage_without_a_perfect_matching_is_refuted(monkeypatch):
-    monkeypatch.setattr(claims, "has_perfect_matching", lambda g: (False, None))
-    rep = claims.check_lollipop_product_witness(cases=((0, 0),))
+def test_lollipop_stage_with_a_corrupt_pairing_is_refuted(monkeypatch):
+    # trading partners between the first two pairs keeps the members
+    # partitioned, but pairs (d0,d0) with (d0,d1), which agree in a coordinate
+    real = claims.product_pairing_is_valid
+
+    def corrupted(left, right, members, pairing):
+        (p, q), (r, s), *rest = pairing
+        return real(left, right, members, [(p, r), (q, s), *rest])
+
+    monkeypatch.setattr(claims, "product_pairing_is_valid", corrupted)
+    rep = claims.check_lollipop_product_witness(cases=((0, 0), (1, 1)))
     assert rep.status == "refuted"
+    for key in ("0,0", "1,1"):
+        assert f"({key}): a stage set does not dominate or its pairing is invalid" in rep.notes
 
 
-def test_lollipop_stage_over_the_matching_cap_is_skipped():
-    # four factors give a 36-member stage graph, over the matching DP's cap
-    rep = claims.check_lollipop_product_witness(orders=(5, 5, 5, 5), cases=((0, 0),))
-    assert rep.status == "skipped-resource"
-    assert "(0,0): 36 stage members exceed the matching cap" in rep.notes
-    assert rep.values["size[0,0]"] == 36
+def test_lollipop_four_factor_stages_pair_except_the_odd_one():
+    # at even t the filler is already in D, so stage (1,1) adds one member
+    orders = (5, 5, 5, 5)
+    rep = claims.check_lollipop_product_witness(orders=orders)
+    assert rep.status == "refuted" and "skipped" not in rep.notes
+    assert [rep.values[f"size[{k}]"] for k in ("0,0", "0,1", "1,0", "1,1")] == [36, 36, 36, 37]
+    assert rep.notes.startswith("(1,1): a stage set does not dominate or its pairing is invalid; ")
+    for case in ((0, 0), (0, 1), (1, 0)):
+        assert claims.check_lollipop_product_witness(orders=orders, cases=(case,)).status == "bounds-only"
+
+
+@pytest.mark.parametrize("orders", [(4, 4, 4), (5, 5, 5), (7, 7, 7)])
+def test_lollipop_stage_member_graphs_have_perfect_matchings(orders):
+    # the explicit pairings, re-derived by the matching oracle on each stage's
+    # member graph built from the coordinate adjacency predicate
+    rep = claims.check_lollipop_product_witness(orders=orders)
+    assert rep.status == "bounds-only"
+    base = multiway_direct_complete(orders)
+    for a in (0, 1):
+        for b in (0, 1):
+            left = lollipop(base, a, 0)
+            right = lollipop(base, b, 0)
+            members = [divmod(i, right.n) for i in rep.witnesses[f"members[{a},{b}]"]]
+            k = len(members)
+            edges = [
+                (i, j)
+                for i in range(k)
+                for j in range(i + 1, k)
+                if product_pair_adjacent(left, right, members[i], members[j])
+            ]
+            g = Graph(k, edges)
+            assert _subset_has_pm(g, g.full_bits()), (orders, a, b)
+
+
+def test_lollipop_stage_outside_the_unit_square_is_rejected():
+    with pytest.raises(DomainError):
+        claims.check_lollipop_product_witness(cases=((0, 0), (2, 1)))
 
 
 def test_lollipop_note_explains_only_orders_below_the_bound_premise():

@@ -294,8 +294,10 @@ def test_scan_rejects_bad_env_budget(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "family, min_n, max_n",
-    [("complete:N", "30000", "30000"), ("trees", "2", "13")],
-    ids=["complete", "trees"],
+    # a template stops at its first instance whose self-product is over the
+    # cap (cycle:142), so max-n 100000 builds nothing past it
+    [("complete:N", "30000", "30000"), ("trees", "2", "13"), ("cycle:N", "3", "100000")],
+    ids=["complete", "trees", "template"],
 )
 def test_scan_resource_guard_exits_4(capsys, family, min_n, max_n):
     code, out, err = run_cli(

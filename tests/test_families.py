@@ -192,11 +192,22 @@ def test_build_family_matches_direct_constructors():
         "lollipop(complete:4)",  # missing :ell@anchor
         "lollipop(complete:4:2@0",  # unclosed paren
         "random_graph:10:200#7",  # percent out of range
+        # non-canonical spellings, some of which would build another graph
+        "complete_product[2,2]:3",
+        "cycle[5]",
+        "complete_product:3:3",
+        "cayleypop:3:4:2",
+        "cycle:05",
     ],
 )
 def test_parse_rejections(text):
     with pytest.raises(DomainError):
         build_family(parse_family_spec(text))
+
+
+def test_non_canonical_spec_names_the_canonical_form():
+    with pytest.raises(DomainError, match=r"write 'complete_product\[2,2,3\]'"):
+        parse_family_spec("complete_product[2,2]:3")
 
 
 def test_family_spec_is_hashable_value_object():

@@ -16,6 +16,7 @@ from oracles import (
     brute_gamma,
     brute_gamma_pr,
     brute_gamma_t,
+    brute_is_minimal_dominating,
     brute_minimal_covers,
     brute_rho_k,
     brute_upper_gamma,
@@ -470,6 +471,21 @@ def test_upper_domination_agrees_with_exhaustive():
         assert a == b == brute_upper_gamma(g)
         if g.n:
             assert is_minimal_dominating(g, wit) and len(wit) == b
+
+
+def test_is_minimal_dominating_agrees_with_brute_force():
+    # random subsets: some minimal dominating, some dominating but not
+    # minimal, most of them not dominating
+    rng = random.Random(89)
+    minimal = redundant = 0
+    for trial in range(300):
+        g = random_graph(rng.randrange(1, 11), rng.choice([0.2, 0.5, 0.8]), seed=7000 + trial)
+        s = VertexSet(g, rng.getrandbits(g.n))
+        want = brute_is_minimal_dominating(g, s.bits)
+        assert is_minimal_dominating(g, s) == want, (g.adj, s.bits)
+        minimal += want
+        redundant += is_dominating(g, s) and not want
+    assert minimal >= 20 and redundant >= 20
 
 
 def test_upper_domination_exhaustive_cap():

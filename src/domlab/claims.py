@@ -408,20 +408,21 @@ def check_lollipop_product_witness(orders=(4, 4, 4), cases=((0, 0), (0, 1), (1, 
         ((base_g.n, d0), (d0, d2)), ((d1, d3), (d2, d0)), ((d3, d1), (w[0], d0)),
     ]
     pendant_g = lollipop(base_g, 1, 0)
+    base_valid = implicit_direct_domination_check(base_g, base_g, base_members)
     exceeded = []
     for a, b in cases:
         key = f"{a},{b}"
         left = pendant_g if a else base_g
         right = pendant_g if b else base_g
         members = set(base_members)
-        valid = implicit_direct_domination_check(base_g, base_g, members)
+        valid = base_valid
         if a:
             members |= {(0, y) for y in dmem}
             valid &= implicit_direct_domination_check(left, base_g, members)
         if b:
-            lg, lvs, _ = appended_path_paired_witness(orders, a)
-            ensure(lg.adj == left.adj, "appended-path graph differs from the stage graph")
-            members |= {(x, 0) for x in _members(lvs)}
+            # the left factor's appended-path witness: D, or D + {p, f} at a = 1
+            side = dmem + [base_g.n, w[0]] if a else dmem
+            members |= {(x, 0) for x in side}
             valid &= implicit_direct_domination_check(left, right, members)
         valid &= product_pairing_is_valid(left, right, members, top_pairing if a and b else base_pairing)
         bound = 2 ** (a + b) * ((a + 2) * t + 2 * a + 2) + 2**b * b * (t + a + 2)
@@ -660,7 +661,17 @@ def check_rook_upper_domination() -> ClaimReport:
     prod2, _ = direct_product(rook2xn(2), rook2xn(2))
     exh_val, exh_wit = upper_domination_exhaustive(prod2)
     bb = upper_domination_number(prod2)
-    ensure(bb.exact and bb.value == exh_val, "branch and bound disagrees with the exhaustive scan")
+    if not bb.exact:
+        rep.record(
+            SKIPPED,
+            f"n=2 square product: branch and bound hit its budget at bounds [{bb.lo},{bb.hi}]; "
+            f"the exhaustive scan gives {exh_val}",
+        )
+    elif bb.value != exh_val:
+        rep.record(
+            REFUTED,
+            f"n=2 square product: branch and bound gives {bb.value}, the exhaustive scan {exh_val}",
+        )
     rep.values["product_upper_exhaustive[2]"] = exh_val
     rep.witnesses["product_upper[2]"] = _members(exh_wit)
     rep.notes.append(

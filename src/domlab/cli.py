@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .claims import distinct_trees, ratio_scan, run_suite
+from .claims import SUITE_ORDER, distinct_trees, ratio_scan, run_suite
 from .families import build_family, parse_family_spec
 from .graphs import ORDER_CAP, DomainError, FormatError, ResourceError, read_graph_text, write_graph_text
 from .products import cartesian_product, direct_product
@@ -178,6 +178,10 @@ def cmd_verify_paper(args) -> int:
         ids = [part.strip() for part in args.suite.split(",") if part.strip()]
         if not ids:
             _err("empty suite selection")
+            return EXIT_USAGE
+        unknown = [i for i in ids if i not in SUITE_ORDER]
+        if unknown:
+            _err(f"unknown claim id: {', '.join(unknown)}")
             return EXIT_USAGE
     if args.json and not _can_write(args.json):
         return EXIT_USAGE

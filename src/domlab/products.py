@@ -1,11 +1,12 @@
 """Direct and Cartesian graph products with row-major vertex labeling, plus
-domination checks that never materialize the product."""
+domination checks that never materialize the product and visit only the
+columns that hold members."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import ORDER_CAP, DomainError, Graph, ResourceError, bit_indices
+from .graphs import ORDER_CAP, DomainError, Graph, ResourceError, bit_indices, bits_of
 
 
 @dataclass(frozen=True)
@@ -99,23 +100,26 @@ def multiway_direct_complete(orders) -> Graph:
     return Graph.from_rows(acc.adj, label)
 
 
-def _column_bits(g: Graph, h: Graph, members) -> dict:
+def _column_cover_pass(g: Graph, h: Graph, members, closed: bool):
+    """Yields, for each column x of g in order, whether every (x, y) is
+    dominated by the member pairs: some member (a, b) has a in N(x) and b in
+    N(y), or, for the closed check, (x, y) is itself a member. Only the
+    columns that hold members are visited, so the cost per column follows the
+    member columns, not the degree of g."""
     cols: dict[int, int] = {}
+    reach: dict[int, int] = {}
     for a, b in members:
         if not (0 <= a < g.n and 0 <= b < h.n):
             raise IndexError(f"member ({a},{b}) out of range")
         cols[a] = cols.get(a, 0) | 1 << b
-    return cols
-
-
-def _column_reach(h: Graph, cols: dict) -> dict:
-    reach = {}
-    for a, bbits in cols.items():
-        acc = 0
-        for b in bit_indices(bbits):
-            acc |= h.adj[b]
-        reach[a] = acc
-    return reach
+        reach[a] = reach.get(a, 0) | h.adj[b]
+    held = bits_of(cols)
+    full = (1 << h.n) - 1
+    for x in range(g.n):
+        covered = cols.get(x, 0) if closed else 0
+        for a in bit_indices(g.adj[x] & held):
+            covered |= reach[a]
+        yield covered == full
 
 
 def implicit_direct_domination_check(g: Graph, h: Graph, members) -> bool:
@@ -123,42 +127,15 @@ def implicit_direct_domination_check(g: Graph, h: Graph, members) -> bool:
 
     (x, y) is dominated when it is a member or some member (a, b) has a in N(x)
     and b in N(y); per column x this is the union of h-neighborhoods of members
-    sitting in columns adjacent to x.
+    sitting in member columns adjacent to x.
     """
-    cols = _column_bits(g, h, members)
-    reach = _column_reach(h, cols)
-    full = (1 << h.n) - 1
-    for x in range(g.n):
-        covered = cols.get(x, 0)
-        if covered != full:
-            for x2 in bit_indices(g.adj[x]):
-                r = reach.get(x2)
-                if r is not None:
-                    covered |= r
-                    if covered == full:
-                        break
-        if covered != full:
-            return False
-    return True
+    return all(_column_cover_pass(g, h, members, closed=True))
 
 
 def implicit_direct_total_check(g: Graph, h: Graph, members) -> bool:
     """Open-neighborhood variant: every product vertex, members included, needs an
-    adjacent member."""
-    cols = _column_bits(g, h, members)
-    reach = _column_reach(h, cols)
-    full = (1 << h.n) - 1
-    for x in range(g.n):
-        covered = 0
-        for x2 in bit_indices(g.adj[x]):
-            r = reach.get(x2)
-            if r is not None:
-                covered |= r
-                if covered == full:
-                    break
-        if covered != full:
-            return False
-    return True
+    adjacent member; again only member columns are visited."""
+    return all(_column_cover_pass(g, h, members, closed=False))
 
 
 def product_pair_adjacent(g: Graph, h: Graph, p, q) -> bool:

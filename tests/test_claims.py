@@ -409,6 +409,21 @@ def test_unsettled_instance_is_skipped_not_raised(monkeypatch, capsys):
     assert "  matched = 199\n" in out
 
 
+def test_rook_product_budget_hit_is_skipped_not_raised(monkeypatch):
+    # calls 1..7 are the rook graphs n = 2..8, call 8 the n = 2 square product
+    _patch_results(monkeypatch, "upper_domination_number", [_same] * 7 + [_unsettled])
+    rep = claims.check_rook_upper_domination()
+    assert rep.status == "skipped-resource"
+    assert "branch and bound hit its budget at bounds [8,10]; the exhaustive scan gives 8" in rep.notes
+
+
+def test_rook_product_disagreement_is_refuted_not_raised(monkeypatch):
+    _patch_results(monkeypatch, "upper_domination_number", [_same] * 7 + [_wrong])
+    rep = claims.check_rook_upper_domination()
+    assert rep.status == "refuted"
+    assert "n=2 square product: branch and bound gives 0, the exhaustive scan 8" in rep.notes
+
+
 def test_lollipop_stage_with_a_corrupt_pairing_is_refuted(monkeypatch):
     # trading partners between the first two pairs keeps the members
     # partitioned, but pairs (d0,d0) with (d0,d1), which agree in a coordinate
@@ -457,6 +472,28 @@ def test_lollipop_stage_member_graphs_have_perfect_matchings(orders):
             ]
             g = Graph(k, edges)
             assert _subset_has_pm(g, g.full_bits()), (orders, a, b)
+
+
+@pytest.mark.parametrize("orders", [(4, 4, 4), (5, 5, 5), (7, 7, 7), (5, 5, 5, 5)])
+def test_lollipop_b_stages_carry_the_appended_path_witnesses(orders):
+    # a b = 1 stage adds the left factor's appended-path witness in column d0;
+    # the claim derives it from D, so compare with the constructor's own
+    rep = claims.check_lollipop_product_witness(orders=orders)
+    base = multiway_direct_complete(orders)
+    _, diag, _ = claims.appended_path_paired_witness(orders, 0)
+    square = {(x, y) for x in diag.members() for y in diag.members()}
+    for a in (0, 1):
+        g, side, _ = claims.appended_path_paired_witness(orders, a)
+        assert g.adj == lollipop(base, a, 0).adj
+        members = {divmod(i, base.n + 1) for i in rep.witnesses[f"members[{a},1]"]}
+        assert members == square | {(x, 0) for x in side.members()}, (orders, a)
+
+
+def test_lollipop_five_factor_stages_all_pair():
+    # at odd t = 5 stage (1,1) adds both (p,d0) and (f,d0), so every stage pairs
+    rep = claims.check_lollipop_product_witness(orders=(6, 6, 6, 6, 6))
+    assert rep.status == "bounds-only"
+    assert [rep.values[f"size[{k}]"] for k in ("0,0", "0,1", "1,0", "1,1")] == [36, 36, 36, 38]
 
 
 def test_lollipop_stage_outside_the_unit_square_is_rejected():

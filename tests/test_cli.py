@@ -231,6 +231,13 @@ def test_verify_paper_unknown_id(capsys):
     assert code == 2 and "no-such" in err
 
 
+def test_verify_paper_unknown_id_leaves_no_json(tmp_path, capsys):
+    # the ids are checked before the output path is tried, which creates it
+    out_path = tmp_path / "out.json"
+    code, _, err = run_cli(capsys, "verify-paper", "--suite", "nope", "--json", str(out_path))
+    assert code == 2 and _one_line_error(err) and not out_path.exists()
+
+
 def test_verify_paper_json_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     ids = "pendant-pairs-embedding,subdivided-star-ratio-trend"

@@ -98,6 +98,24 @@ def test_implicit_checks_match_materialized():
         assert implicit_direct_total_check(g, h, members) == want_tot
         agree += 1
     assert agree == 500
+    # dense factors with members in one or two columns: most neighbors of a
+    # column hold no member, and a lone member column has none adjacent
+    dense = [complete(4), complete(6), multiway_direct_complete([3, 3, 3])]
+    seen = set()
+    for g in dense:
+        for h in dense:
+            gp, imap = direct_product(g, h)
+            for trial in range(40):
+                xs = rng.sample(range(g.n), 1 + trial % 2)
+                ys = range(rng.randrange(1, h.n + 1))
+                members = sorted({(x, y) for x in xs for y in ys} | {(xs[0], h.n - 1)})
+                bits = bits_of([imap.index(a, b) for a, b in members])
+                want_dom = closed_cover_bits(gp, bits) == gp.full_bits()
+                want_tot = open_cover_bits(gp, bits) == gp.full_bits()
+                assert implicit_direct_domination_check(g, h, members) == want_dom
+                assert implicit_direct_total_check(g, h, members) == want_tot
+                seen |= {("dom", want_dom), ("tot", want_tot)}
+    assert len(seen) == 4
 
 
 def test_implicit_check_rejects_out_of_range():

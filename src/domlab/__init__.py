@@ -6,7 +6,6 @@ from .claims import (
     SUITE_ORDER,
     ClaimReport,
     appended_path_paired_witness,
-    pendant_product_dominating,
     ratio_scan,
     run_suite,
 )

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .claims import SUITE_ORDER, distinct_trees, ratio_scan, run_suite
@@ -17,6 +16,7 @@ from .families import build_family, parse_family_spec
 from .graphs import ORDER_CAP, DomainError, FormatError, ResourceError, read_graph_text, write_graph_text
 from .products import cartesian_product, direct_product
 from .solvers import (
+    DEFAULT_NODE_BUDGET,
     Budget,
     domination_number,
     independence_number,
@@ -77,20 +77,6 @@ def _can_write(path) -> bool:
         return False
 
 
-def _budget(args) -> Budget:
-    """Node budget from --exact-budget, else the DOMLAB_BUDGET_MS wall clock,
-    else the default; a bad value raises DomainError or FormatError."""
-    if args.exact_budget is not None:
-        return Budget(max_nodes=args.exact_budget)
-    env = os.environ.get("DOMLAB_BUDGET_MS")
-    if env:
-        try:
-            return Budget(max_ms=int(env))
-        except ValueError:
-            raise FormatError("DOMLAB_BUDGET_MS must be an integer")
-    return Budget()
-
-
 def cmd_construct(args) -> int:
     try:
         spec = parse_family_spec(args.spec)
@@ -124,7 +110,7 @@ def cmd_compute(args) -> int:
         _err("k must be at least 1")
         return EXIT_USAGE
     try:
-        budget = _budget(args)
+        budget = Budget(max_nodes=args.exact_budget)
         graphs = [_load_graph(p) for p in args.graphs]
     except (OSError, UnicodeDecodeError, FormatError, DomainError) as exc:
         _err(str(exc))
@@ -232,7 +218,7 @@ def cmd_scan(args) -> int:
         _err("min-n larger than max-n")
         return EXIT_USAGE
     try:
-        budget = _budget(args)
+        budget = Budget(max_nodes=args.exact_budget)
         pairs = _scan_pairs(args)
     except (FormatError, DomainError) as exc:
         _err(str(exc))
@@ -284,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graphs", nargs="+", help="one or two graph files")
     p.add_argument("--product", choices=("direct", "cartesian"))
     p.add_argument("--k", type=int, help="packing radius for rho_k")
-    p.add_argument("--exact-budget", type=int, help="search node budget")
+    p.add_argument("--exact-budget", type=int, default=DEFAULT_NODE_BUDGET, help="search node budget")
     p.add_argument("--json", action="store_true", help="emit the certificate as JSON")
     p.set_defaults(func=cmd_compute)
 
@@ -299,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, help="'trees' or a spec with N, e.g. subdivided_star:N")
     p.add_argument("--min-n", type=int, default=2)
     p.add_argument("--max-n", type=int, default=3)
-    p.add_argument("--exact-budget", type=int, help="search node budget")
+    p.add_argument("--exact-budget", type=int, default=DEFAULT_NODE_BUDGET, help="search node budget")
     p.add_argument("--json", help="write the per-pair reports to this path")
     p.set_defaults(func=cmd_scan)
     return parser

@@ -5,6 +5,7 @@ columns that hold members."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product as iter_product
 
 from .graphs import ORDER_CAP, DomainError, Graph, ResourceError, bit_indices, bits_of
 
@@ -76,14 +77,10 @@ def cartesian_product(g: Graph, h: Graph):
     return Graph.from_rows(rows, _pair_label("cartesian", g, h)), ProductIndexMap(g.n, nh)
 
 
-def _complete_rows(n: int) -> Graph:
-    full = (1 << n) - 1
-    return Graph.from_rows([full ^ (1 << v) for v in range(n)])
-
-
 def multiway_direct_complete(orders) -> Graph:
     """Direct product of complete graphs; tuples map to mixed-radix row-major indices,
-    and two vertices are adjacent iff they differ in every coordinate."""
+    and two vertices are adjacent iff they differ in every coordinate, so row x
+    is every tuple less those that agree with x in some coordinate."""
     orders = list(orders)
     if not orders:
         raise DomainError("need at least one factor order")
@@ -93,11 +90,21 @@ def multiway_direct_complete(orders) -> Graph:
     for n in orders:
         total *= n
     _cap_check(total, "complete-graph product")
-    acc = _complete_rows(orders[0])
-    for n in orders[1:]:
-        acc, _ = direct_product(acc, _complete_rows(n))
+    tuples = list(iter_product(*map(range, orders)))
+    agree = [[0] * n for n in orders]  # agree[i][v]: the tuples whose coordinate i is v
+    for idx, x in enumerate(tuples):
+        bit = 1 << idx
+        for i, v in enumerate(x):
+            agree[i][v] |= bit
+    full = (1 << total) - 1
+    rows = []
+    for x in tuples:
+        same = 0
+        for i, v in enumerate(x):
+            same |= agree[i][v]
+        rows.append(full & ~same)
     label = "complete_product[" + ",".join(map(str, orders)) + "]"
-    return Graph.from_rows(acc.adj, label)
+    return Graph.from_rows(rows, label)
 
 
 def _column_cover_pass(g: Graph, h: Graph, members, closed: bool):

@@ -40,7 +40,6 @@ cross-parameter inequality checks compare independent computations.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .graphs import (
@@ -68,16 +67,13 @@ UPPER_SCAN_CAP = 20  # order cap of the exhaustive upper_gamma enumeration
 
 @dataclass(frozen=True)
 class Budget:
-    """Search budget: node count always, wall clock optionally."""
+    """Search budget: a node count, so a budget hit is deterministic."""
 
     max_nodes: int = DEFAULT_NODE_BUDGET
-    max_ms: int | None = None
 
     def __post_init__(self):
         if self.max_nodes < 1:
             raise DomainError("budget needs a positive node count")
-        if self.max_ms is not None and self.max_ms < 1:
-            raise DomainError("wall clock budget must be positive")
 
 
 class _BudgetExceeded(Exception):
@@ -85,25 +81,15 @@ class _BudgetExceeded(Exception):
 
 
 class _Tracker:
-    __slots__ = ("left", "deadline", "nodes")
+    __slots__ = ("cap", "nodes")
 
     def __init__(self, budget: Budget):
-        self.left = budget.max_nodes
+        self.cap = budget.max_nodes
         self.nodes = 0
-        self.deadline = (
-            time.monotonic() + budget.max_ms / 1000.0 if budget.max_ms else None
-        )
 
     def tick(self):
         self.nodes += 1
-        self.left -= 1
-        if self.left < 0:
-            raise _BudgetExceeded
-        if (
-            self.deadline is not None
-            and (self.nodes & 1023) == 0
-            and time.monotonic() > self.deadline
-        ):
+        if self.nodes > self.cap:
             raise _BudgetExceeded
 
 

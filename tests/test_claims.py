@@ -262,6 +262,13 @@ def test_half_bound_skip_keeps_the_resource_reason(monkeypatch):
     assert rep.notes.split("; ")[0].endswith(": product over the order cap")
 
 
+def test_pendant_construction_that_fails_to_dominate_is_refuted(monkeypatch):
+    monkeypatch.setattr(claims, "is_dominating", lambda g, s: False)
+    rep = claims.check_pendant_extension_bound()
+    assert rep.status == "refuted"
+    assert "P4,P4@3: construction does not dominate" in rep.notes.split("; ")
+
+
 def test_ratio_scan_basic():
     reports = ratio_scan([(path(2), path(2)), (path(4), path(4))])
     by_id = {r.claim_id: r for r in reports}

@@ -62,6 +62,12 @@ def test_multiway_matches_direct_for_two_factors():
         gp, _ = direct_product(complete(n1), complete(n2))
         mw = multiway_direct_complete([n1, n2])
         assert mw.adj == gp.adj
+    # more factors, mixed orders: against chained two-factor products
+    for orders in ([2, 3, 4], [5, 4, 4], [3, 3, 3, 3]):
+        chained = complete(orders[0])
+        for n in orders[1:]:
+            chained, _ = direct_product(chained, complete(n))
+        assert multiway_direct_complete(orders).adj == chained.adj
 
 
 def test_multiway_small_orders():

@@ -49,7 +49,7 @@ from domlab.families import (
 )
 from domlab.products import direct_product, multiway_direct_complete, product_pairing_is_valid
 from domlab.matching import has_perfect_matching
-from domlab.claims import appended_path_paired_witness, pendant_product_dominating
+from domlab.claims import appended_path_paired_witness
 from domlab.solvers import (
     Budget,
     _clique_partition,
@@ -181,12 +181,6 @@ def test_budget_interval_certificate():
     assert len(c.witness) == c.hi
     c2 = total_domination_number(g, Budget(max_nodes=1500))
     assert (c2.lo, c2.hi, c2.witness.bits) == (c.lo, c.hi, c.witness.bits)  # deterministic
-
-
-def test_wall_clock_budget():
-    g = multiway_direct_complete([5, 5, 5, 5])
-    c = total_domination_number(g, Budget(max_nodes=10**9, max_ms=25))
-    assert not c.exact and c.lo >= 3 and is_total_dominating(g, c.witness)
 
 
 def test_budget_on_max_side():
@@ -456,8 +450,6 @@ except AssertionError as exc:
 def test_budget_validation():
     with pytest.raises(DomainError):
         Budget(max_nodes=0)
-    with pytest.raises(DomainError):
-        Budget(max_nodes=10, max_ms=0)
 
 
 # parameter-specific structure
@@ -574,23 +566,6 @@ def test_appended_path_witness_sizes_and_validity():
             assert len(s) == size
             assert is_paired_dominating(g, s)
             assert pairing_is_valid(g, s, pairing)
-
-
-def test_pendant_product_construction():
-    g, h = path(4), cycle(5)
-    prod_cert = paired_domination_number(direct_product(g, h)[0])
-    imap_pairs = [divmod(i, h.n) for i in prod_cert.witness.members()]
-    base_pairing = tuple(
-        (divmod(a, h.n), divmod(b, h.n)) for a, b in prod_cert.pairing
-    )
-    side_cert = paired_domination_number(h)
-    lol, members = pendant_product_dominating(
-        g, h, 0, imap_pairs, base_pairing, side_cert.witness, side_cert.pairing
-    )
-    assert lol.n == g.n + 1
-    assert len(members) <= len(imap_pairs) + len(side_cert.witness)
-    with pytest.raises(DomainError):
-        pendant_product_dominating(g, h, 0, [], (), side_cert.witness, side_cert.pairing)
 
 
 def test_lollipop_paired_monotone():

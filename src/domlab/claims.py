@@ -701,7 +701,7 @@ def ratio_scan(pairs, budget: Budget | None = None):
             ch = factor(h)
             prod, _ = direct_product(g, h)
             cp = paired_domination_number(prod, budget)
-        except (ResourceError, DomainError) as exc:
+        except ResourceError as exc:
             rep.record(SKIPPED, str(exc))
             reports.append(rep.report())
             continue

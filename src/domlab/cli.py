@@ -13,7 +13,8 @@ import sys
 
 from .claims import SUITE_ORDER, distinct_trees, ratio_scan, run_suite
 from .families import build_family, parse_family_spec
-from .graphs import ORDER_CAP, DomainError, FormatError, ResourceError, read_graph_text, write_graph_text
+from .graphs import EDGE_CAP, ORDER_CAP, DomainError, FormatError, ResourceError, has_isolated_vertex
+from .graphs import read_graph_text, write_graph_text
 from .products import cartesian_product, direct_product
 from .solvers import (
     DEFAULT_NODE_BUDGET,
@@ -86,6 +87,9 @@ def cmd_construct(args) -> int:
         return EXIT_USAGE
     except ResourceError as exc:
         _err(str(exc))
+        return EXIT_GUARD
+    if g.m > EDGE_CAP:
+        _err(f"{args.spec} has {g.m} edges, above the {EDGE_CAP}-edge cap")
         return EXIT_GUARD
     return EXIT_OK if _write_out(args.output, write_graph_text(g)) else EXIT_USAGE
 
@@ -229,6 +233,10 @@ def cmd_scan(args) -> int:
     if not pairs:
         _err("pattern produced no instances")
         return EXIT_USAGE
+    isolated = [g.label for pair in pairs for g in pair if has_isolated_vertex(g)]
+    if isolated:
+        _err(f"{isolated[0]}: isolated vertex, paired domination undefined")
+        return EXIT_GUARD
     if args.json and not _can_write(args.json):
         return EXIT_USAGE
     reports = ratio_scan(pairs, budget)

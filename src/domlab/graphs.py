@@ -13,6 +13,7 @@ from itertools import compress, repeat
 from operator import add, lt, mul
 
 ORDER_CAP = 20000  # one desk-scale ceiling: constructed, materialized and read graphs
+EDGE_CAP = 1_000_000  # edges of constructed and read graphs: at most 12 MB of edge lines
 
 # Graph text is read in slices of about this many characters, each cut after
 # a line break, so the reader's working memory stays bounded by the slice.
@@ -337,8 +338,8 @@ def _edge_error(us, vs, n: int, last: int):
 
 def read_graph_text(text: str) -> Graph:
     """Strict reader for the canonical text form; any violation raises
-    FormatError, and an order above ORDER_CAP raises ResourceError. Only a
-    newline ends a line.
+    FormatError, and a header order above ORDER_CAP or edge count above
+    EDGE_CAP raises ResourceError. Only a newline ends a line.
 
     The edge block is read in slices of about _SLICE_CHARS characters cut
     after a line break. One regex match checks a slice's line shapes, its
@@ -359,6 +360,8 @@ def read_graph_text(text: str) -> Graph:
         raise FormatError("negative header value")
     if n > ORDER_CAP:
         raise ResourceError(f"graph text order {n} exceeds the {ORDER_CAP}-vertex cap")
+    if m > EDGE_CAP:
+        raise ResourceError(f"graph text edge count {m} exceeds the {EDGE_CAP}-edge cap")
     rows = [0] * n
     count, last = 0, -1
     pos = end

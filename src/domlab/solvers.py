@@ -8,21 +8,24 @@ gamma_pr (paired), upper_gamma (largest minimal dominating set), rho_k
 (distance-k packing), alpha (independence, the k=1 packing).
 
 Every solver runs through one driver, _solve: split the graph into connected
-components, solve each with a budget shared across them, merge the parts
-into one certificate, and re-check its witness with the matching predicate
-(an explicit check that also runs under python -O).
+components, solve each in place (a vertex mask in the graph's own labels)
+with a budget shared across them, merge the parts into one certificate, and
+re-check its witness with the matching predicate (an explicit check that
+also runs under python -O).
 
 The minimum side is one deepening cover search over elements with pairwise
 disjointness: vertices with closed covers for gamma and open covers for
-gamma_t, edges covering both closed neighborhoods for gamma_pr. A greedy
-gives the upper end, a counting bound the lower end, and the search tries
-each size in between, branching on the uncovered vertex with the fewest
-coverers. A node is pruned when the picks left cannot finish the cover by
-either of two bounds: counting (no pick covers more than the largest
-cover), or disjoint coverers (uncovered vertices whose coverer sets are
-pairwise disjoint each need a pick of their own). The second is skipped
-where a cap computed from the coverer counts shows it cannot prune, and at
-the last pick. upper_gamma runs include/exclude branch-and-bound over
+gamma_t, edges covering both closed neighborhoods for gamma_pr. Each
+vertex's coverers are one mask over element indices. A greedy gives the
+upper end, a counting bound the lower end, and the search tries each size
+in between, branching on the uncovered vertex with the fewest coverers. A
+node is pruned when the picks left cannot finish the cover by either of two
+bounds: counting (no pick covers more than the largest cover), or disjoint
+coverers (uncovered vertices whose coverer sets are pairwise disjoint each
+need a pick of their own). The second is skipped where a cap computed from
+the coverer counts shows it cannot prune, and at the last pick, which one
+AND of coverer masks settles while still counting one node per free
+coverer tried. upper_gamma runs include/exclude branch-and-bound over
 irredundant sets (each member covers a vertex no other member covers) on
 masks of the vertices covered once and twice, and rho_k and alpha a maximum
 independent set search bounded by the part count of a clique partition. All
@@ -91,6 +94,13 @@ class _Tracker:
         self.nodes += 1
         if self.nodes > self.cap:
             raise _BudgetExceeded
+
+    def spend(self, k):
+        """k ticks at once, after one that passed: raises where they would."""
+        if self.nodes + k > self.cap:
+            self.nodes = self.cap + 1
+            raise _BudgetExceeded
+        self.nodes += k
 
 
 @dataclass(frozen=True)
@@ -204,23 +214,17 @@ class _Part:
 
 
 def _solve(g, parameter, solve_part, check, budget=None, split=None, k=None) -> Certificate:
-    """Runs solve_part(component, tracker) on each connected component of
-    `split` (default g, which has the same vertices), merges the parts into
-    one certificate on g and re-checks it with check(certificate). A
-    connected `split` is solved as it is, without a relabeled copy."""
+    """Runs solve_part(split, component, tracker) on each connected component
+    of `split` (default g, which has the same vertices), given as a vertex
+    mask and solved in place in split's labels, merges the parts into one
+    certificate on g and re-checks it with check(certificate)."""
     tracker = _Tracker(budget or Budget())
     split = g if split is None else split
     lo = hi = bits = 0
     exact = True
     pairing = []
     for comp in connected_components(split):
-        if comp == split.full_bits():
-            part = solve_part(split, tracker)
-        else:
-            part = solve_part(induced_subgraph(split, VertexSet(split, comp))[0], tracker)
-            old = bit_indices(comp)  # component vertex i is vertex old[i] of split
-            part.bits = bits_of(old[v] for v in bit_indices(part.bits))
-            part.pairs = tuple((old[a], old[b]) for a, b in part.pairs)
+        part = solve_part(split, comp, tracker)
         lo += part.lo
         hi += part.hi
         exact &= part.exact
@@ -237,25 +241,44 @@ def _solve(g, parameter, solve_part, check, budget=None, split=None, k=None) -> 
 # minimum side: one deepening cover search over elements
 #
 # An element is a vertex (gamma: its closed neighborhood, gamma_t: its open
-# one) or an edge (gamma_pr: both closed neighborhoods). ends[i] lists the
-# vertices element i puts into the set, and picked elements may not share
-# one. For vertices that never binds: a vertex that could cover an uncovered
-# vertex again is not yet picked, since covers are symmetric.
+# one), indexed by itself, or an edge of the component in lexicographic order
+# (gamma_pr: both closed neighborhoods). cov[i] is its cover, blk[i] masks
+# the elements picking it blocks (picks share no vertex), cm[y] the coverers
+# of vertex y. Covers are symmetric: a vertex's coverers are its own cover,
+# and a picked vertex blocks nothing, as it covers no uncovered vertex again.
 
 
-def _vertex_elements(gc: Graph, open_nbh: bool):
-    cov = list(gc.adj) if open_nbh else [gc.closed(v) for v in range(gc.n)]
-    return cov, [(v,) for v in range(gc.n)]
+def _vertex_elements(g: Graph, open_nbh: bool):
+    """(cov, blk, cm, None) for the vertex elements of all of g."""
+    cov = g.adj if open_nbh else [row | 1 << v for v, row in enumerate(g.adj)]
+    return cov, [0] * g.n, cov, None
 
 
-def _edge_elements(gc: Graph):
-    edges = list(gc.edges())
-    return [gc.closed(u) | gc.closed(v) for u, v in edges], edges
+def _edge_elements(g: Graph, comp: int, inc, cm):
+    """(cov, blk, cm, edges) for the edges of component comp. inc[x] masks the
+    edges at x, (u, v) blocks inc[u] | inc[v], and y's coverers, the edges
+    with an end in N[y], are those y's edges block. inc and cm are rows over
+    g, zero until the component of their vertex fills them."""
+    adj = g.adj
+    edges = []
+    for u in bit_indices(comp):
+        above = adj[u] >> u + 1
+        while above:
+            v = u + (above & -above).bit_length()
+            above &= above - 1
+            inc[u] |= 1 << len(edges)
+            inc[v] |= 1 << len(edges)
+            edges.append((u, v))
+    blk = [inc[u] | inc[v] for u, v in edges]
+    for (u, v), b in zip(edges, blk):
+        cm[u] |= b
+        cm[v] |= b
+    return [adj[u] | adj[v] for u, v in edges], blk, cm, edges
 
 
-def _greedy(cov, ends, full: int):
-    """Indices of disjoint elements picked by largest gain, lowest index on
-    ties, until full is covered.
+def _greedy(cov, blk, elems, full: int):
+    """Indices of disjoint elements among elems, picked by largest gain,
+    lowest index on ties, until full is covered.
 
     Disjointness never blocks it on an isolated-free graph (any graph for
     closed covers): an uncovered vertex u has no picked vertex in N[u], so u
@@ -263,32 +286,34 @@ def _greedy(cov, ends, full: int):
     element; a neighbor of u is free as an open element covering u (the
     maximal-matching argument of Haynes & Slater, Paired-domination in
     graphs, 1998)."""
-    covered = used = 0
+    covered = blocked = 0
     picks = []
     while covered != full:
         unc = full & ~covered
         best_i = -1
         best_gain = 0
-        for i, c in enumerate(cov):
-            gain = (c & unc).bit_count()
-            if gain > best_gain and not used & bits_of(ends[i]):
+        for i in elems:
+            gain = (cov[i] & unc).bit_count()
+            if gain > best_gain and not blocked >> i & 1:
                 best_gain = gain
                 best_i = i
         ensure(best_i >= 0, "greedy cover found no free element with a gain")
         covered |= cov[best_i]
-        used |= bits_of(ends[best_i])
+        blocked |= blk[best_i]
         picks.append(best_i)
     return picks
 
 
-def _cover_search(cov, dis, coverers, full, maxcov, tracker):
+def _cover_search(cov, blk, cm, full, room, maxcov, tracker):
     """search(size) -> indices of `size` disjoint elements covering full, or
-    None; what does not depend on the size is built once, here.
+    None; what does not depend on the size is built once, here. full is the
+    component, solved in place, and room its element count.
 
-    The search runs depth-first on an explicit stack of (covered, used,
+    The search runs depth-first on an explicit stack of (covered, blocked,
     picks) nodes. It branches on the uncovered vertex with the fewest
-    coverers (lowest index on ties), pushed in reverse to pop in index
-    order, and prunes a node by two lower bounds on the picks still needed:
+    coverers (lowest index on ties), pushing the bits of its free coverer
+    mask highest first to pop them in index order, and prunes a node by two
+    lower bounds on the picks still needed:
 
     - counting: no pick covers more than maxcov vertices;
     - disjoint coverers: walking the uncovered vertices fewest coverers
@@ -301,14 +326,18 @@ def _cover_search(cov, dis, coverers, full, maxcov, tracker):
     where it can prune: at most `cap` coverer sets are pairwise disjoint
     (their sizes, smallest first, must fit into the element count), so it is
     skipped once the picks left reach cap. It is also skipped at the last
-    pick, where each child is one check in the branching loop (still one
-    node each) instead of a pushed node."""
-    counts = [len(c) for c in coverers]
-    min_c = min(counts)
-    order = sorted(range(len(coverers)), key=counts.__getitem__)
-    walk = [(1 << v, bits_of(coverers[v])) for v in order]
+    pick, which one computation settles: the AND of the branching vertex's
+    free coverer mask with the coverer masks of the uncovered vertices
+    holds the picks that finish the cover. Each free coverer tried counts
+    one node, in index order up to and including the lowest hit, or all of
+    them when there is none, so node counts and budget hits are those of
+    trying the coverers one by one (_Tracker.spend)."""
+    verts = bit_indices(full)
+    counts = {v: cm[v].bit_count() for v in verts}
+    min_c = min(counts.values())
+    order = sorted(verts, key=counts.__getitem__)
+    walk = [(1 << v, cm[v]) for v in order]
     cap = 0
-    room = len(cov)
     for v in order:
         room -= counts[v]
         if room < 0:
@@ -318,7 +347,7 @@ def _cover_search(cov, dis, coverers, full, maxcov, tracker):
     def search(size):
         stack = [(0, 0, ())]
         while stack:
-            covered, used, picks = stack.pop()
+            covered, blocked, picks = stack.pop()
             tracker.tick()
             if covered == full:
                 return picks
@@ -348,64 +377,60 @@ def _cover_search(cov, dis, coverers, full, maxcov, tracker):
                     best_v = v
                     if best_c <= min_c:
                         break
+            free = hits = cm[best_v] & ~blocked
             if left == 1:
-                for i in coverers[best_v]:
-                    if used & dis[i]:
-                        continue
-                    tracker.tick()
-                    if covered | cov[i] == full:
-                        return picks + (i,)
+                scan = unc
+                while scan and hits:
+                    low = scan & -scan
+                    hits &= cm[low.bit_length() - 1]
+                    scan ^= low
+                if hits:
+                    low = hits & -hits
+                    tracker.spend((free & (low << 1) - 1).bit_count())
+                    return picks + (low.bit_length() - 1,)
+                tracker.spend(free.bit_count())
                 continue
-            for i in reversed(coverers[best_v]):
-                d = dis[i]
-                if not used & d:
-                    stack.append((covered | cov[i], used | d, picks + (i,)))
+            while free:
+                i = free.bit_length() - 1
+                free ^= 1 << i
+                stack.append((covered | cov[i], blocked | blk[i], picks + (i,)))
         return None
 
     return search
 
 
-def _cover_part(lo, hi, picked, exact) -> _Part:
-    """Part from the picked elements' ends; picked edges are its pairing."""
-    bits = 0
-    for ends in picked:
-        bits |= bits_of(ends)
-    return _Part(lo, hi, bits, exact, tuple(e for e in picked if len(e) == 2))
-
-
-def _min_cover(gc: Graph, cov, ends, tracker) -> _Part:
-    """Fewest disjoint elements covering gc: deepening on the element count
-    from the counting bound up to the greedy's count; sizes in vertices."""
-    n = gc.n
-    full = gc.full_bits()
-    picked = [ends[i] for i in _greedy(cov, ends, full)]
-    w = len(ends[0])
-    top = len(picked)
-    maxcov = max(c.bit_count() for c in cov)
-    lb = max(1, -(-n // maxcov))
+def _min_cover(comp: int, cov, blk, cm, edges, tracker) -> _Part:
+    """Fewest disjoint elements covering component comp: deepening on the
+    element count from the counting bound up to the greedy's count (exact
+    unless the budget ends it); sizes in vertices, picked edges pair them."""
+    elems = bit_indices(comp) if edges is None else range(len(edges))
+    picks = _greedy(cov, blk, elems, comp)
+    lo = top = len(picks)
+    maxcov = max(cov[i].bit_count() for i in elems)
+    lb = max(1, -(-comp.bit_count() // maxcov))
     if lb < top:
-        # built only now: for edges these outweigh the graph many times over
-        dis = [bits_of(e) for e in ends]
-        coverers = [[] for _ in range(n)]
-        for i, c in enumerate(cov):
-            for v in bit_indices(c):
-                coverers[v].append(i)
-        search = _cover_search(cov, dis, coverers, full, maxcov, tracker)
+        search = _cover_search(cov, blk, cm, comp, len(elems), maxcov, tracker)
         for size in range(lb, top):
             try:
                 found = search(size)
             except _BudgetExceeded:
-                return _cover_part(w * size, w * top, picked, False)
+                lo = size
+                break
             if found is not None:
-                return _cover_part(w * size, w * size, [ends[i] for i in found], True)
-    return _cover_part(w * top, w * top, picked, True)
+                picks, lo, top = found, size, size
+                break
+    if edges is None:
+        return _Part(lo, top, bits_of(picks), lo == top)
+    pairs = tuple(edges[i] for i in picks)
+    return _Part(2 * lo, 2 * top, bits_of(x for e in pairs for x in e), lo == top, pairs)
 
 
 def domination_number(g: Graph, budget: Budget | None = None) -> Certificate:
     """gamma: smallest dominating set."""
+    elements = _vertex_elements(g, False)
     return _solve(
         g, "gamma",
-        lambda gc, tracker: _min_cover(gc, *_vertex_elements(gc, False), tracker),
+        lambda _, comp, tracker: _min_cover(comp, *elements, tracker),
         lambda cert: is_dominating(g, cert.witness),
         budget,
     )
@@ -415,9 +440,10 @@ def total_domination_number(g: Graph, budget: Budget | None = None) -> Certifica
     """gamma_t: smallest set whose open neighborhoods cover everything."""
     if has_isolated_vertex(g):
         raise DomainError("total domination undefined with isolated vertices")
+    elements = _vertex_elements(g, True)
     return _solve(
         g, "gamma_t",
-        lambda gc, tracker: _min_cover(gc, *_vertex_elements(gc, True), tracker),
+        lambda _, comp, tracker: _min_cover(comp, *elements, tracker),
         lambda cert: is_total_dominating(g, cert.witness),
         budget,
     )
@@ -431,9 +457,10 @@ def paired_domination_number(g: Graph, budget: Budget | None = None) -> Certific
     domination are re-checked on the result."""
     if has_isolated_vertex(g):
         raise DomainError("paired domination undefined with isolated vertices")
+    inc, cm = [0] * g.n, [0] * g.n
     return _solve(
         g, "gamma_pr",
-        lambda gc, tracker: _min_cover(gc, *_edge_elements(gc), tracker),
+        lambda gc, comp, tracker: _min_cover(comp, *_edge_elements(gc, comp, inc, cm), tracker),
         lambda cert: pairing_is_valid(g, cert.witness, cert.pairing)
         and is_dominating(g, cert.witness),
         budget,
@@ -444,26 +471,25 @@ def paired_domination_number(g: Graph, budget: Budget | None = None) -> Certific
 # maximum-side: upper_gamma
 
 
-def _minimalize_bits(gc: Graph, bits: int) -> int:
-    full = gc.full_bits()
+def _minimalize_bits(g: Graph, full: int, bits: int) -> int:
     while True:
         for v in bit_indices(bits):
             rest = bits & ~(1 << v)
-            if closed_cover_bits(gc, rest) == full:
+            if closed_cover_bits(g, rest) == full:
                 bits = rest
                 break
         else:
             return bits
 
 
-def _upper_exhaustive(gc: Graph) -> _Part:
-    """Largest minimal dominating set of gc (lowest mask) by _minimal_covers."""
-    found = _minimal_covers(_vertex_elements(gc, False)[0], gc.full_bits())
+def _upper_exhaustive(closed, comp: int) -> _Part:
+    """Largest minimal dominating set of component comp (lowest mask)."""
+    found = _minimal_covers(closed, comp)
     size = max(found)
     return _Part(size, size, found[size], True)
 
 
-def _upper_component(gc: Graph, tracker) -> _Part:
+def _upper_component(g: Graph, comp: int, elements, tracker) -> _Part:
     """Include/exclude branch and bound over irredundant sets D; once and
     twice mask the vertices N[D] covers at least once and twice. v is
     addable when N[v] meets an uncovered vertex and, for each member d,
@@ -477,12 +503,11 @@ def _upper_component(gc: Graph, tracker) -> _Part:
     and any member u has N(u) outside D; either way |V - D| >= deg(u). It
     serves only as the budget-hit hi and to skip the search when the
     minimalized greedy meets it, so it moves no witness."""
-    n = gc.n
-    full = gc.full_bits()
-    closed, ends = _vertex_elements(gc, False)
-    best_bits = _minimalize_bits(gc, bits_of(_greedy(closed, ends, full)))
+    closed, blk, _, _ = elements
+    verts = bit_indices(comp)
+    best_bits = _minimalize_bits(g, comp, bits_of(_greedy(closed, blk, verts, comp)))
     best = best_bits.bit_count()
-    top = n - min(row.bit_count() for row in gc.adj)
+    top = len(verts) - min(g.adj[v].bit_count() for v in verts)
 
     # Depth-first on an explicit stack (a cycle's path runs through
     # thousands of levels): the include child is pushed last, so it is
@@ -492,12 +517,12 @@ def _upper_component(gc: Graph, tracker) -> _Part:
         while stack:
             d_bits, banned, size, once, twice = stack.pop()
             tracker.tick()
-            avail = full & ~d_bits & ~banned
-            uncovered = full & ~once
-            addable = avail & closed_cover_bits(gc, uncovered)
+            avail = comp & ~d_bits & ~banned
+            uncovered = comp & ~once
+            addable = avail & closed_cover_bits(g, uncovered)
             alone = once & ~twice
             for d in bit_indices(d_bits):
-                holds = full
+                holds = comp
                 for u in bit_indices(closed[d] & alone):
                     holds &= closed[u]
                 addable &= ~holds
@@ -510,21 +535,23 @@ def _upper_component(gc: Graph, tracker) -> _Part:
                 continue
             low = addable & -addable
             v = low.bit_length() - 1
-            if not uncovered & ~closed_cover_bits(gc, avail & ~low):
+            if not uncovered & ~closed_cover_bits(g, avail & ~low):
                 stack.append((d_bits, banned | low, size, once, twice))
             stack.append((d_bits | low, banned, size + 1, once | closed[v], twice | once & closed[v]))
         return _Part(best, best, best_bits, True)
     except _BudgetExceeded:
-        if n <= UPPER_SCAN_CAP:
-            return _upper_exhaustive(gc)
+        if len(verts) <= UPPER_SCAN_CAP:
+            return _upper_exhaustive(closed, comp)
         return _Part(best, top, best_bits, False)
 
 
 def upper_domination_number(g: Graph, budget: Budget | None = None) -> Certificate:
     """upper_gamma: largest minimal dominating set (branch and bound on
     include/exclude decisions, private-neighbor obligations pruned eagerly)."""
+    elements = _vertex_elements(g, False)
     return _solve(
-        g, "upper_gamma", _upper_component,
+        g, "upper_gamma",
+        lambda _, comp, tracker: _upper_component(g, comp, elements, tracker),
         lambda cert: is_minimal_dominating(g, cert.witness),
         budget,
     )
@@ -540,7 +567,7 @@ def upper_domination_exhaustive(g: Graph):
         )
     cert = _solve(
         g, "upper_gamma",
-        lambda gc, _: _upper_exhaustive(gc),
+        lambda _, comp, __: _upper_exhaustive(_vertex_elements(g, False)[0], comp),
         lambda cert: is_minimal_dominating(g, cert.witness),
     )
     return cert.lo, cert.witness
@@ -550,8 +577,8 @@ def upper_domination_exhaustive(g: Graph):
 # maximum-side: packings via maximum independent set
 
 
-def _clique_partition(gc: Graph) -> list[int]:
-    """Pairwise disjoint cliques covering gc, as masks; an independent set
+def _clique_partition(g: Graph, comp: int) -> list[int]:
+    """Pairwise disjoint cliques covering the vertices comp of g, as masks; an independent set
     meets each at most once, so their count bounds alpha from above.
 
     Greedy cliques first: vertices in ascending degree (lowest index on
@@ -559,12 +586,12 @@ def _clique_partition(gc: Graph) -> list[int]:
     starting its own. Then the size-1 and size-2 parts, read as a matching
     with free vertices, grow by augmenting paths (free vertices in index
     order, one breadth-first alternating tree each). Each path found is
-    simple, so the result stays a matching, and a maximum one when gc is
+    simple, so the result stays a matching, and a maximum one when comp is
     bipartite (no part is larger than 2 there), where the part count is
     n - nu = alpha by Koenig's theorem."""
-    adj = gc.adj
+    adj = g.adj
     parts = []
-    for v in sorted(range(gc.n), key=lambda v: adj[v].bit_count()):
+    for v in sorted(bit_indices(comp), key=lambda v: adj[v].bit_count()):
         for i, p in enumerate(parts):
             if p & adj[v] == p:
                 parts[i] = p | 1 << v
@@ -572,7 +599,7 @@ def _clique_partition(gc: Graph) -> list[int]:
         else:
             parts.append(1 << v)
     small = 0
-    mate = [-1] * gc.n
+    mate = dict.fromkeys(bit_indices(comp), -1)
     for p in parts:
         if p.bit_count() <= 2:
             small |= p
@@ -613,32 +640,30 @@ def _clique_partition(gc: Graph) -> list[int]:
             "clique partition has a part that is not a clique or overlaps another",
         )
         seen |= p
-    ensure(seen == gc.full_bits(), "clique partition does not cover the graph")
+    ensure(seen == comp, "clique partition does not cover the graph")
     return parts
 
 
-def _mis_component(gc: Graph, tracker) -> _Part:
-    """Maximum independent set of gc by branch and bound: take the isolated
-    vertices, then branch on the highest-degree vertex (lowest index on
-    ties), taking it first. The greedy (lowest degree first) gives the
-    starting best, and a node is pruned when its size plus the parts of a
-    clique partition (_clique_partition, built once) that meet the vertices
-    left cannot beat the best; no more parts than vertices meet them, so
-    this prunes wherever counting the vertices left would. It cuts only
-    subtrees holding no set larger than the best, and the best changes only
-    on a strict improvement, so the sequence of improvements and the
-    witness do not depend on it. The search is skipped when the greedy meets the part
-    count, and a budget-exhausted part reports the part count as hi."""
-    n = gc.n
-    full = gc.full_bits()
-    adj = gc.adj
-    parts = _clique_partition(gc)
-    part_bit = [0] * n
+def _mis_component(g: Graph, comp: int, tracker) -> _Part:
+    """Maximum independent set of component comp of g by branch and bound:
+    take the isolated vertices, then branch on the highest-degree vertex
+    (lowest index on ties), taking it first. The greedy (lowest degree
+    first) gives the starting best, and a node is pruned when its size plus
+    the parts of a clique partition (_clique_partition, built once) that
+    meet the vertices left cannot beat the best; no more parts than vertices
+    meet them, so this prunes wherever counting the vertices left would. It
+    cuts only subtrees holding no set larger than the best, and the best
+    changes only on a strict improvement, so the sequence of improvements
+    and the witness do not depend on it. The search is skipped when the
+    greedy meets the part count, and a budget-exhausted part reports the
+    part count as hi."""
+    adj = g.adj
+    parts = _clique_partition(g, comp)
+    part_bit = {}
     for i, p in enumerate(parts):
         for v in bit_indices(p):
             part_bit[v] = 1 << i
-    closed = [gc.closed(v) for v in range(n)]
-    avail = full
+    avail = comp
     greedy_bits = 0
     while avail:
         best_v = -1
@@ -649,11 +674,11 @@ def _mis_component(gc: Graph, tracker) -> _Part:
                 best_d = d
                 best_v = v
         greedy_bits |= 1 << best_v
-        avail &= ~closed[best_v]
+        avail &= ~g.closed(best_v)
     best, best_bits = greedy_bits.bit_count(), greedy_bits
     # Depth-first on an explicit stack (a path can be thousands of levels
     # deep): the taking child is pushed last, so it is explored first.
-    stack = [(full, 0, 0)] if best < len(parts) else []
+    stack = [(comp, 0, 0)] if best < len(parts) else []
     try:
         while stack:
             avail, size, cur = stack.pop()
@@ -688,7 +713,7 @@ def _mis_component(gc: Graph, tracker) -> _Part:
                 best, best_bits = size, cur
                 continue
             stack.append((avail & ~(1 << pick), size, cur))
-            stack.append((avail & ~closed[pick], size + 1, cur | 1 << pick))
+            stack.append((avail & ~g.closed(pick), size + 1, cur | 1 << pick))
     except _BudgetExceeded:
         return _Part(best, len(parts), best_bits, False)
     return _Part(best, best, best_bits, True)
@@ -723,21 +748,24 @@ def _minimal_covers(cover, full: int) -> dict:
     private vertex away, so that family is closed under taking subsets, and
     a depth-first extension in increasing index that stops where a member
     loses its last private vertex visits each irredundant mask once. It
-    visits every minimal cover, so each size keeps the all-subsets lowest."""
+    visits every minimal cover, so each size keeps the all-subsets lowest.
+    Covers count only inside full, so the vertices whose covers miss it,
+    which no minimal cover holds, are never tried."""
     found = {}
-    _extend_covers(cover, full, found, 0, 0, 0, 0, [])
+    cands = [(v, c & full) for v, c in enumerate(cover) if c & full]
+    _extend_covers(cands, full, found, 0, 0, 0, 0, [])
     return found
 
 
-def _extend_covers(cover, full, found, mask, once, twice, start, members):
+def _extend_covers(cands, full, found, mask, once, twice, start, members):
     """_minimal_covers' step from mask: one level per member, order-capped."""
     if once == full:
         size = mask.bit_count()
         if mask < found.get(size, mask + 1):
             found[size] = mask
         return
-    for v in range(start, len(cover)):
-        c = cover[v]
+    for j in range(start, len(cands)):
+        v, c = cands[j]
         if not c & ~once:
             continue
         both = twice | once & c
@@ -746,7 +774,7 @@ def _extend_covers(cover, full, found, mask, once, twice, start, members):
                 break
         else:
             members.append(c)
-            _extend_covers(cover, full, found, mask | 1 << v, once | c, both, v + 1, members)
+            _extend_covers(cands, full, found, mask | 1 << v, once | c, both, j + 1, members)
             members.pop()
 
 

@@ -278,10 +278,15 @@ def test_ratio_scan_basic():
         assert rep.values["ratio"] >= 0.5
 
 
-def test_ratio_scan_skips_undefined_pairs():
-    reports = ratio_scan([(complete(1), complete(1))])
-    assert reports[0].status == "skipped-resource"
-    assert "isolated" in reports[0].notes or "pair" in reports[0].notes
+def test_ratio_scan_rejects_undefined_pairs():
+    # an isolated vertex is outside the domain, not a resource limit
+    with pytest.raises(DomainError, match="isolated"):
+        ratio_scan([(complete(1), complete(1))])
+
+
+def test_ratio_scan_skips_products_over_the_order_cap():
+    (rep,) = ratio_scan([(cycle(150), cycle(150))])
+    assert rep.status == "skipped-resource" and "22500 vertices" in rep.notes
 
 
 def test_ratio_scan_skips_over_budget_pairs():

@@ -52,6 +52,13 @@ def test_construct_resource_guard(capsys):
     assert code == 4 and "cap" in err
 
 
+def test_construct_over_the_edge_cap_exits_4_and_writes_nothing(tmp_path, capsys):
+    target = tmp_path / "k1500.adj"
+    code, out, err = run_cli(capsys, "construct", "complete:1500", "-o", str(target))
+    assert code == 4 and out == "" and _one_line_error(err) and "1124250 edges" in err
+    assert not target.exists()
+
+
 def test_construct_anchor_outside_the_inner_graph_exits_2(capsys):
     code, out, err = run_cli(capsys, "construct", "lollipop(complete:3):2@5")
     assert code == 2 and out == "" and _one_line_error(err) and "anchor 5" in err
@@ -305,6 +312,15 @@ def test_scan_resource_guard_exits_4(capsys, family, min_n, max_n):
         capsys, "scan", "--family", family, "--min-n", min_n, "--max-n", max_n
     )
     assert code == 4 and out == "" and _one_line_error(err) and "cap" in err
+
+
+def test_scan_member_with_an_isolated_vertex_exits_4(tmp_path, capsys):
+    out_json = tmp_path / "scan.json"
+    code, out, err = run_cli(
+        capsys, "scan", "--family", "path:N", "--min-n", "1", "--max-n", "3", "--json", str(out_json)
+    )
+    assert code == 4 and out == "" and _one_line_error(err) and "path:1" in err
+    assert not out_json.exists()
 
 
 def test_scan_json(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from domlab import graphs
 from domlab.graphs import (
+    EDGE_CAP,
     ORDER_CAP,
     DomainError,
     FormatError,
@@ -190,6 +191,15 @@ def test_text_format_order_cap():
     assert read_graph_text(f"{ORDER_CAP} 0\n").n == ORDER_CAP
     with pytest.raises(ResourceError):
         read_graph_text(f"{ORDER_CAP + 1} 0\n")
+
+
+def test_text_format_edge_cap():
+    # the header's edge count is checked before the edge block: a block too
+    # short for m would otherwise be a FormatError
+    with pytest.raises(ResourceError, match="edge cap"):
+        read_graph_text(f"3 {EDGE_CAP + 1}\n0 1\n")
+    with pytest.raises(FormatError, match="expected"):
+        read_graph_text(f"3 {EDGE_CAP}\n0 1\n")
 
 
 # Mutation characters for the differential test: digits, the separators, the

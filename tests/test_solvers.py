@@ -207,6 +207,61 @@ def test_search_node_counts_pinned():
     assert (p78.value, p78.nodes) == (16, 30098)
 
 
+_K5_4_GT = (3, 5, False)  # gamma_t of K5^4 under a budget: bounds from the greedy
+_K5_4_WITNESS = (0, 156, 312, 468, 624)
+_C78_WITNESS = (0, 1, 4, 5, 8, 9, 12, 13, 24, 25, 28, 29, 32, 33, 36, 37)
+_C78_PAIRING = ((0, 9), (1, 8), (4, 13), (5, 12), (24, 33), (25, 32), (28, 37), (29, 36))
+
+# (graph, parameter, budget) -> (lo, hi, exact, nodes, witness, pairing). The
+# last pick counts one node per free coverer tried, so the budgets around
+# 256 (the coverer count of a K5^4 vertex) and C7xC8 at 30097 (its exact
+# search ends at node 30098, on a last pick) must end at these nodes.
+_SEARCH_TABLE = [
+    *[(("K5^4", "gamma_t", b), (*_K5_4_GT, b + 1, _K5_4_WITNESS, ()))
+      for b in (1, 2, 255, 256, 257, 1000, 4097)],
+    (("pair34", "gamma", None), (10, 10, True, 32746, (3, 8, 15, 23, 34, 38, 40, 42, 50, 53), ())),
+    (("C7xC8", "gamma_pr", 1000), (14, 16, False, 1001, _C78_WITNESS, _C78_PAIRING)),
+    (("C7xC8", "gamma_pr", 30097), (14, 16, False, 30098, _C78_WITNESS, _C78_PAIRING)),
+    (("C7xC8", "gamma_pr", None), (16, 16, True, 30098, _C78_WITNESS, _C78_PAIRING)),
+    (("P4xP5", "gamma", None), (6, 6, True, 2, (6, 7, 8, 11, 12, 13), ())),
+    (("P4xP5", "gamma_t", None), (6, 6, True, 0, (6, 7, 8, 11, 12, 13), ())),
+    (("P4xP5", "gamma_pr", None),
+     (8, 8, True, 0, (2, 6, 7, 8, 9, 11, 12, 13), ((2, 8), (6, 12), (7, 11), (9, 13)))),
+    (("P4xP6", "gamma", None), (8, 8, True, 2, (4, 7, 8, 10, 12, 13, 15, 16), ())),
+]
+
+
+def test_min_side_search_outputs_pinned():
+    # Bounds, node counts, witnesses and pairings of the cover search, also
+    # on the two-component P4xP5 and P4xP6, whose components are solved in
+    # the product's own labels; the oracles referee the P4xP5 values per
+    # component.
+    graphs = {
+        "K5^4": multiway_direct_complete([5, 5, 5, 5]),
+        "pair34": direct_product(
+            build_family(parse_family_spec("random_graph:7:50#21008106")),
+            build_family(parse_family_spec("random_graph:8:50#21000188")),
+        )[0],
+        "C7xC8": direct_product(cycle(7), cycle(8))[0],
+        "P4xP5": direct_product(path(4), path(5))[0],
+        "P4xP6": direct_product(path(4), path(6))[0],
+    }
+    solvers = {
+        "gamma": (domination_number, brute_gamma),
+        "gamma_t": (total_domination_number, brute_gamma_t),
+        "gamma_pr": (paired_domination_number, brute_gamma_pr),
+    }
+    for (name, param, budget), want in _SEARCH_TABLE:
+        c = solvers[param][0](graphs[name], Budget(max_nodes=budget) if budget else None)
+        got = (c.lo, c.hi, c.exact, c.nodes, tuple(c.witness.members()), c.pairing)
+        assert got == want, (name, param, budget)
+    p45 = graphs["P4xP5"]
+    comps = [induced_subgraph(p45, VertexSet(p45, comp))[0] for comp in connected_components(p45)]
+    assert len(comps) == 2
+    for param, want in (("gamma", 6), ("gamma_t", 6), ("gamma_pr", 8)):
+        assert sum(map(solvers[param][1], comps)) == want, param
+
+
 def test_max_side_node_counts_pinned():
     # upper_gamma, rho_k and alpha search trees: a change to their branching
     # or pruning must update these on purpose. The budgeted runs end at the
@@ -340,7 +395,7 @@ def test_clique_partition_is_a_cover_by_disjoint_cliques():
     graphs += [direct_product(cycle(5), cycle(6))[0], rook2xn(5), complete(6), Graph(4)]
     bipartite = 0
     for g in graphs:
-        parts = _clique_partition(g)
+        parts = _clique_partition(g, g.full_bits())
         seen = 0
         for p in parts:
             assert p and not seen & p, g.label
@@ -416,9 +471,13 @@ def test_greedy_cover_never_blocks_on_isolated_free_graphs():
         if has_isolated_vertex(g):
             continue
         full = g.full_bits()
-        for cov, ends in (_vertex_elements(g, False), _vertex_elements(g, True), _edge_elements(g)):
+        rows = ([0] * g.n, [0] * g.n)
+        for cov, blk, _, edges in (
+            _vertex_elements(g, False), _vertex_elements(g, True), _edge_elements(g, full, *rows)
+        ):
+            ends = [(v,) for v in range(g.n)] if edges is None else edges
             covered = used = 0
-            for e in _greedy(cov, ends, full):
+            for e in _greedy(cov, blk, range(len(ends)), full):
                 assert not used & bits_of(ends[e])
                 used |= bits_of(ends[e])
                 covered |= cov[e]

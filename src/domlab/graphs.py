@@ -263,7 +263,9 @@ def write_graph_text(g: Graph, comment: str | None = None) -> str:
     u. A row dense over its span is decoded from its binary digits in C; a
     sparse one bit by bit from the top, so a far neighbour costs one big-int
     step, not a scan of the span. Besides the result, the working memory is
-    the decimal names and one string per row, not one per edge."""
+    the decimal names and one string per row, not one per edge. Once the
+    running edge count passes EDGE_CAP it raises ResourceError, naming the
+    full count, before building more text."""
     out = []
     if comment:
         out.extend(f"# {c}\n" if c else "#\n" for c in str(comment).splitlines())
@@ -277,6 +279,9 @@ def write_graph_text(g: Graph, comment: str | None = None) -> str:
             continue
         width, count = above.bit_length(), above.bit_count()
         m += count
+        if m > EDGE_CAP:
+            m += sum((row >> v + 1).bit_count() for v, row in enumerate(g.adj[u + 1 :], u + 1))
+            raise ResourceError(f"{g.label or 'graph'} has {m} edges, above the {EDGE_CAP}-edge cap")
         if count * 32 >= width:  # a set bit per 32 of span: decoding digits is cheaper
             digits = bin(above)[:1:-1].encode().translate(_BIT_BYTES)
             ends = compress(names[u + 1 : u + 1 + width], digits)
@@ -336,19 +341,10 @@ def _edge_error(us, vs, n: int, last: int):
         last = u * n + v
 
 
-def read_graph_text(text: str) -> Graph:
-    """Strict reader for the canonical text form; any violation raises
-    FormatError, and a header order above ORDER_CAP or edge count above
-    EDGE_CAP raises ResourceError. Only a newline ends a line.
-
-    The edge block is read in slices of about _SLICE_CHARS characters cut
-    after a line break. One regex match checks a slice's line shapes, its
-    numbers are converted in one call, and the range and strict-order checks
-    run over whole lists, the last key u*n + v carried from slice to slice.
-    A slice that fails the match (a comment line or an error) goes line by
-    line through _read_pair, the one place that words a line error. Slicing
-    bounds the working memory beyond the text and the adjacency rows: lists
-    of the numbers of the whole block would cost more than the rows."""
+def read_graph_header(text: str):
+    """(n, m, end) from the comment lines and the 'n m' header line that open
+    graph text, end the index just past the header; raises as
+    read_graph_text does, ResourceError for a header over the caps."""
     pos = 0
     while text.startswith("#", pos):
         pos = _line_end(text, pos)
@@ -362,9 +358,25 @@ def read_graph_text(text: str) -> Graph:
         raise ResourceError(f"graph text order {n} exceeds the {ORDER_CAP}-vertex cap")
     if m > EDGE_CAP:
         raise ResourceError(f"graph text edge count {m} exceeds the {EDGE_CAP}-edge cap")
+    return n, m, end
+
+
+def read_graph_text(text: str) -> Graph:
+    """Strict reader for the canonical text form; any violation raises
+    FormatError, and a header order above ORDER_CAP or edge count above
+    EDGE_CAP raises ResourceError. Only a newline ends a line.
+
+    The edge block is read in slices of about _SLICE_CHARS characters cut
+    after a line break. One regex match checks a slice's line shapes, its
+    numbers are converted in one call, and the range and strict-order checks
+    run over whole lists, the last key u*n + v carried from slice to slice.
+    A slice that fails the match (a comment line or an error) goes line by
+    line through _read_pair, the one place that words a line error. Slicing
+    bounds the working memory beyond the text and the adjacency rows: lists
+    of the numbers of the whole block would cost more than the rows."""
+    n, m, pos = read_graph_header(text)
     rows = [0] * n
     count, last = 0, -1
-    pos = end
     while pos < len(text):
         end = _slice_end(text, pos)
         chunk = text[pos:end]

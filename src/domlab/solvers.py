@@ -16,16 +16,19 @@ also runs under python -O).
 The minimum side is one deepening cover search over elements with pairwise
 disjointness: vertices with closed covers for gamma and open covers for
 gamma_t, edges covering both closed neighborhoods for gamma_pr. Each
-vertex's coverers are one mask over element indices. A greedy gives the
-upper end, a counting bound the lower end, and the search tries each size
-in between, branching on the uncovered vertex with the fewest coverers. A
+vertex's coverers are one mask over element indices, and the vertices are
+grouped into levels, one mask per coverer count. A greedy gives the upper
+end, a counting bound the lower end, and the search tries each size in
+between, branching on the lowest uncovered vertex of the lowest level. A
 node is pruned when the picks left cannot finish the cover by either of two
 bounds: counting (no pick covers more than the largest cover), or disjoint
 coverers (uncovered vertices whose coverer sets are pairwise disjoint each
-need a pick of their own). The second is skipped where a cap computed from
-the coverer counts shows it cannot prune, and at the last pick, which one
-AND of coverer masks settles while still counting one node per free
-coverer tried. upper_gamma runs include/exclude branch-and-bound over
+need a pick of their own). The second walks the levels, and each vertex it
+counts clears its conflict mask, the vertices whose coverers meet its own,
+so it loops once per vertex counted; the root's walk runs once per search.
+It is skipped where a cap computed from the coverer counts shows it cannot
+prune, and at the last pick, which one AND of coverer masks settles while
+still counting one node per free coverer tried. upper_gamma runs include/exclude branch-and-bound over
 irredundant sets (each member covers a vertex no other member covers) on
 masks of the vertices covered once and twice, and rho_k and alpha a maximum
 independent set search bounded by the part count of a clique partition. All
@@ -309,17 +312,24 @@ def _cover_search(cov, blk, cm, full, room, maxcov, tracker):
     None; what does not depend on the size is built once, here. full is the
     component, solved in place, and room its element count.
 
-    The search runs depth-first on an explicit stack of (covered, blocked,
-    picks) nodes. It branches on the uncovered vertex with the fewest
-    coverers (lowest index on ties), pushing the bits of its free coverer
-    mask highest first to pop them in index order, and prunes a node by two
-    lower bounds on the picks still needed:
+    levels groups the vertices by coverer count, ascending, one vertex mask
+    per count. The search runs depth-first on an explicit stack of (covered,
+    blocked, picks) nodes. It branches on the lowest uncovered vertex of the
+    first level that holds one (fewest coverers, lowest index on ties),
+    pushing the bits of its free coverer mask highest first to pop them in
+    index order, and prunes a node by two lower bounds on the picks still
+    needed:
 
     - counting: no pick covers more than maxcov vertices;
     - disjoint coverers: walking the uncovered vertices fewest coverers
       first, each one whose coverers share none with those of the vertices
       counted before it needs a pick of its own (van Rooij & Bodlaender,
-      Exact algorithms for dominating set, 2011).
+      Exact algorithms for dominating set, 2011). conf[v], built the first
+      time the walk counts v, masks the vertices whose coverers meet v's
+      (the covers of v's coverers, as covers are symmetric), so the walk
+      takes the lowest candidate of each level in turn and clears conf[v]
+      from the candidates: it loops once per vertex it counts. The root's
+      count does not depend on the size, so it is walked once per search.
 
     Both cut only subtrees that hold no cover, so the first cover found, and
     every witness with it, does not depend on them. The second runs only
@@ -333,16 +343,40 @@ def _cover_search(cov, blk, cm, full, room, maxcov, tracker):
     them when there is none, so node counts and budget hits are those of
     trying the coverers one by one (_Tracker.spend)."""
     verts = bit_indices(full)
-    counts = {v: cm[v].bit_count() for v in verts}
-    min_c = min(counts.values())
-    order = sorted(verts, key=counts.__getitem__)
-    walk = [(1 << v, cm[v]) for v in order]
+    counts = [cm[v].bit_count() for v in verts]
+    by_count = {}
+    for v, c in zip(verts, counts):
+        by_count[c] = by_count.get(c, 0) | 1 << v
+    levels = [by_count[c] for c in sorted(by_count)]
     cap = 0
-    for v in order:
-        room -= counts[v]
+    for c in sorted(counts):
+        room -= c
         if room < 0:
             break
         cap += 1
+    conf = {}
+
+    def walk(unc, bound):
+        """Disjoint-coverer count of the vertices unc, up to bound + 1."""
+        need = 0
+        for level in levels:
+            cand = unc & level
+            while cand:
+                v = (cand & -cand).bit_length() - 1
+                c = conf.get(v)
+                if c is None:
+                    c = 0
+                    for e in bit_indices(cm[v]):
+                        c |= cov[e]
+                    conf[v] = c
+                unc &= ~c
+                cand &= ~c
+                need += 1
+                if need > bound:
+                    return need
+        return need
+
+    root_need = walk(full, cap - 1) if cap > 2 else 0
 
     def search(size):
         stack = [(0, 0, ())]
@@ -356,28 +390,14 @@ def _cover_search(cov, blk, cm, full, room, maxcov, tracker):
             if left * maxcov < unc.bit_count():
                 continue
             if 1 < left < cap:
-                seen = need = 0
-                for bit, cmask in walk:
-                    if unc & bit and not seen & cmask:
-                        seen |= cmask
-                        need += 1
-                        if need > left:
-                            break
+                need = walk(unc, left) if picks else root_need
                 if need > left:
                     continue
-            best_v = -1
-            best_c = 1 << 30
-            scan = unc
-            while scan:
-                low = scan & -scan
-                v = low.bit_length() - 1
-                scan ^= low
-                if counts[v] < best_c:
-                    best_c = counts[v]
-                    best_v = v
-                    if best_c <= min_c:
-                        break
-            free = hits = cm[best_v] & ~blocked
+            for level in levels:
+                low = unc & level
+                if low:
+                    break
+            free = hits = cm[(low & -low).bit_length() - 1] & ~blocked
             if left == 1:
                 scan = unc
                 while scan and hits:

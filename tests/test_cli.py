@@ -216,6 +216,16 @@ def test_compute_order_above_cap_exits_4(tmp_path, capsys):
     assert code == 4 and _one_line_error(err) and "cap" in err
 
 
+def test_compute_edge_cap_exits_4_before_the_edge_block_is_read(tmp_path, capsys):
+    # a loader that reads the edge block before checking the header exits 2
+    # on the bad byte; it lies past the first 64 KiB, beyond what a text-mode
+    # read of the header line decodes
+    big = tmp_path / "big.adj"
+    big.write_bytes(b"3 1000001\n" + b"0 1\n" * 20_000 + b"\xff\n")
+    code, out, err = run_cli(capsys, "compute", "gamma", str(big))
+    assert code == 4 and out == "" and _one_line_error(err) and "edge cap" in err
+
+
 def test_compute_non_utf8_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.adj"
     bad.write_bytes(b"\xff\xfe2 1\n0 1\n")

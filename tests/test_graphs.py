@@ -202,6 +202,15 @@ def test_text_format_edge_cap():
         read_graph_text(f"3 {EDGE_CAP}\n0 1\n")
 
 
+def test_writer_raises_past_the_edge_cap_with_the_full_count(monkeypatch):
+    g = cycle(12)
+    monkeypatch.setattr(graphs, "EDGE_CAP", 12)
+    assert read_graph_text(write_graph_text(g)).adj == g.adj
+    monkeypatch.setattr(graphs, "EDGE_CAP", 5)
+    with pytest.raises(ResourceError, match="cycle:12 has 12 edges, above the 5-edge cap"):
+        write_graph_text(g)
+
+
 # Mutation characters for the differential test: digits, the separators, the
 # comment mark and characters int() or str.split treat specially. '\r' is left
 # out: str.splitlines in the oracle breaks lines there, the reader does not.

@@ -211,15 +211,25 @@ _K5_4_GT = (3, 5, False)  # gamma_t of K5^4 under a budget: bounds from the gree
 _K5_4_WITNESS = (0, 156, 312, 468, 624)
 _C78_WITNESS = (0, 1, 4, 5, 8, 9, 12, 13, 24, 25, 28, 29, 32, 33, 36, 37)
 _C78_PAIRING = ((0, 9), (1, 8), (4, 13), (5, 12), (24, 33), (25, 32), (28, 37), (29, 36))
+_PAIR34_BUDGET_WITNESS = (10, 11, 15, 23, 26, 34, 40, 42, 47, 50, 53)  # the greedy's
+_LOL120_WITNESS = (0, 5, *[v for u in range(8, 121, 4) for v in (u, u + 1)], 122, 123)
 
 # (graph, parameter, budget) -> (lo, hi, exact, nodes, witness, pairing). The
 # last pick counts one node per free coverer tried, so the budgets around
 # 256 (the coverer count of a K5^4 vertex) and C7xC8 at 30097 (its exact
-# search ends at node 30098, on a last pick) must end at these nodes.
+# search ends at node 30098, on a last pick) must end at these nodes. pair34
+# at 9,000 runs out inside a refutation the disjoint-coverer walk prunes, and
+# at 20,000 inside the search that finds the cover. The lollipop's sizes are
+# mostly pruned at the root, whose walk runs once per search, also under a
+# budget.
 _SEARCH_TABLE = [
     *[(("K5^4", "gamma_t", b), (*_K5_4_GT, b + 1, _K5_4_WITNESS, ()))
       for b in (1, 2, 255, 256, 257, 1000, 4097)],
     (("pair34", "gamma", None), (10, 10, True, 32746, (3, 8, 15, 23, 34, 38, 40, 42, 50, 53), ())),
+    (("pair34", "gamma", 9000), (9, 11, False, 9001, _PAIR34_BUDGET_WITNESS, ())),
+    (("pair34", "gamma", 20000), (10, 11, False, 20001, _PAIR34_BUDGET_WITNESS, ())),
+    (("lol120", "gamma_t", None), (62, 62, True, 165, _LOL120_WITNESS, ())),
+    (("lol120", "gamma_t", 50), (61, 62, False, 51, _LOL120_WITNESS, ())),
     (("C7xC8", "gamma_pr", 1000), (14, 16, False, 1001, _C78_WITNESS, _C78_PAIRING)),
     (("C7xC8", "gamma_pr", 30097), (14, 16, False, 30098, _C78_WITNESS, _C78_PAIRING)),
     (("C7xC8", "gamma_pr", None), (16, 16, True, 30098, _C78_WITNESS, _C78_PAIRING)),
@@ -243,6 +253,7 @@ def test_min_side_search_outputs_pinned():
             build_family(parse_family_spec("random_graph:8:50#21000188")),
         )[0],
         "C7xC8": direct_product(cycle(7), cycle(8))[0],
+        "lol120": lollipop(complete(5), 120, 0),
         "P4xP5": direct_product(path(4), path(5))[0],
         "P4xP6": direct_product(path(4), path(6))[0],
     }

@@ -7,10 +7,10 @@ the checker predicates again, a refuted one carries a concrete counterexample,
 and bounds-only reports state which side of the value is certified. Each check
 fills its report through one _ReportBuilder, whose status is the worst outcome
 recorded: refuted, then skipped-resource, then bounds-only, then verified. An
-instance the default budget leaves unsettled is recorded as skipped-resource,
-so it can neither raise nor mask a refutation found earlier. Randomized
-checks derive all instance seeds from the suite seed, so two runs with the
-same seed produce identical reports.
+instance the default budget leaves unsettled is recorded as skipped-resource
+by settled(), so it can neither raise nor mask a refutation found earlier.
+Randomized checks derive all instance seeds from the suite seed, so two runs
+with the same seed produce identical reports.
 """
 
 from __future__ import annotations
@@ -116,6 +116,14 @@ class _ReportBuilder:
         self._worst = max(self._worst, _SEVERITY.index(status))
         if note:
             self.notes.append(note)
+
+    def settled(self, label: str, *certs) -> bool:
+        """True when every certificate is exact; otherwise records the
+        instance label as skipped-resource and returns False."""
+        if all(c.exact for c in certs):
+            return True
+        self.record(SKIPPED, f"{label}: budget exhausted")
+        return False
 
     def report(self) -> ClaimReport:
         ms = int((time.monotonic() - self._started) * 1000)
@@ -279,8 +287,7 @@ def check_pendant_extension_bound(cases=None) -> ClaimReport:
         side = paired_domination_number(h)
         prod2, _ = direct_product(lollipop(g, 1, v), h)
         ext = paired_domination_number(prod2)
-        if not (base.exact and side.exact and ext.exact):
-            rep.record(SKIPPED, f"{label}: budget exhausted")
+        if not rep.settled(label, base, side, ext):
             continue
         bound = 2 * (base.value + side.value)
         rep.values[f"gamma_pr_product[{label}]"] = base.value
@@ -316,8 +323,7 @@ def check_appended_path_monotonicity(cases=None) -> ClaimReport:
         longer = lollipop(g, ell, anchor)
         a = paired_domination_number(g)
         b = paired_domination_number(longer)
-        if not (a.exact and b.exact):
-            rep.record(SKIPPED, f"{label}: budget exhausted")
+        if not rep.settled(label, a, b):
             continue
         rep.values[f"gamma_pr_base[{label}]"] = a.value
         rep.values[f"gamma_pr_appended[{label}]"] = b.value
@@ -397,8 +403,8 @@ def check_lollipop_product_witness(orders=(4, 4, 4), cases=((0, 0), (0, 1), (1, 
             exceeded.append(f"({key}): size {size} > bound {bound}")
     rep.record(
         BOUNDS_ONLY,
-        "witnesses validated via implicit domination checks plus a perfect matching "
-        "on the member-induced subgraph; exact product values are not computed",
+        "witnesses validated via implicit domination checks, and each stage's "
+        "members by an explicit pairing; exact product values are not computed",
     )
     if exceeded:
         note = "; ".join(exceeded)
@@ -425,8 +431,7 @@ def check_tree_paired_packing_identity(count=200, max_order=12, seed=7) -> Claim
         tree = random_tree(n, s)
         pr = paired_domination_number(tree)
         pk = packing_number(tree, 3)
-        if not (pr.exact and pk.exact):
-            rep.record(SKIPPED, f"{tree.label}: budget exhausted")
+        if not rep.settled(tree.label, pr, pk):
             continue
         if pr.value == 2 * pk.value:
             matched += 1
@@ -499,8 +504,7 @@ def check_pendant_pairs_embedding() -> ClaimReport:
         cp = paired_domination_number(prod)
         rp = packing_number(prod, 3)
         dp = domination_number(prod)
-        if not all(c.exact for c in (cg, ch, rg, rh, cp, rp, dp)):
-            rep.record(SKIPPED, f"{label}: budget exhausted")
+        if not rep.settled(label, cg, ch, rg, rh, cp, rp, dp):
             return
         rep.values[f"gamma_pr_left[{label}]"] = cg.value
         rep.values[f"gamma_pr_right[{label}]"] = ch.value
@@ -536,8 +540,7 @@ def check_pendant_pairs_embedding() -> ClaimReport:
     ch = paired_domination_number(hp)
     rg = packing_number(gp, 3)
     rh = packing_number(hp, 3)
-    if not all(c.exact for c in (cg, ch, rg, rh)):
-        rep.record(SKIPPED, "P4,C5: budget exhausted")
+    if not rep.settled("P4,C5", cg, ch, rg, rh):
         return rep.report()
     rep.values["gamma_pr_left[P4,C5]"] = cg.value
     rep.values["gamma_pr_right[P4,C5]"] = ch.value
@@ -586,8 +589,7 @@ def check_rook_upper_domination() -> ClaimReport:
         g = rook2xn(n)
         uc = upper_domination_number(g)
         ac = independence_number(g)
-        if not (uc.exact and ac.exact):
-            rep.record(SKIPPED, f"n={n}: budget exhausted")
+        if not rep.settled(f"n={n}", uc, ac):
             continue
         rep.values[f"upper_gamma[{n}]"] = uc.value
         rep.values[f"alpha[{n}]"] = ac.value
@@ -660,8 +662,7 @@ def check_product_additive_domination(count=100, max_order=8, seed=7) -> ClaimRe
         ch = domination_number(h)
         prod, _ = direct_product(g, h)
         cp = domination_number(prod)
-        if not (cg.exact and ch.exact and cp.exact):
-            rep.record(SKIPPED, f"{g.label} x {h.label}: budget exhausted")
+        if not rep.settled(f"{g.label} x {h.label}", cg, ch, cp):
             continue
         slack = cp.value - (cg.value + ch.value - 1)
         min_slack = slack if min_slack is None else min(min_slack, slack)

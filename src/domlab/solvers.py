@@ -9,9 +9,10 @@ gamma_pr (paired), upper_gamma (largest minimal dominating set), rho_k
 
 Every solver runs through one driver, _solve: split the graph into connected
 components, solve each in place (a vertex mask in the graph's own labels)
-with a budget shared across them, merge the parts into one certificate, and
-re-check its witness with the matching predicate (an explicit check that
-also runs under python -O).
+with a budget shared across them, merge the parts' bounds into one
+certificate, and re-check its witness with the matching predicate (an
+explicit check that also runs under python -O). A certificate is exact
+exactly when its bounds meet, lo == hi, whichever way the search ended.
 
 The minimum side is one deepening cover search over elements with pairwise
 disjointness: vertices with closed covers for gamma and open covers for
@@ -39,9 +40,10 @@ minimal total dominating sizes.
 
 All tie-breaks pick the lowest vertex or edge index, so witnesses are
 deterministic. Every solver takes an explicit budget; exceeding it yields an
-interval certificate whose witness stays valid for its own bound, never a
-wrong exact flag. No solver uses another parameter as an internal bound, so
-cross-parameter inequality checks compare independent computations.
+interval certificate whose witness stays valid for its own bound, and one
+whose witness already meets the certified bound is exact. No solver uses
+another parameter as an internal bound, so cross-parameter inequality checks
+compare independent computations.
 """
 
 from __future__ import annotations
@@ -108,18 +110,22 @@ class _Tracker:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Parameter result: [lo, hi] with lo == hi when exact, plus a witness that
+    """Parameter result: the certified interval [lo, hi] plus a witness that
     always passes the matching checker (minimum-side witnesses certify hi,
-    maximum-side witnesses certify lo)."""
+    maximum-side witnesses certify lo). exact is derived, lo == hi, so a
+    certificate stands for its bounds and nothing more."""
 
     parameter: str
     lo: int
     hi: int
-    exact: bool
     witness: VertexSet | None
     pairing: tuple = ()
     k: int | None = None
     nodes: int = 0
+
+    @property
+    def exact(self):
+        return self.lo == self.hi
 
     @property
     def value(self):
@@ -212,30 +218,25 @@ class _Part:
     lo: int
     hi: int
     bits: int
-    exact: bool
     pairs: tuple = ()
 
 
-def _solve(g, parameter, solve_part, check, budget=None, split=None, k=None) -> Certificate:
-    """Runs solve_part(split, component, tracker) on each connected component
-    of `split` (default g, which has the same vertices), given as a vertex
-    mask and solved in place in split's labels, merges the parts into one
-    certificate on g and re-checks it with check(certificate)."""
+def _solve(g, parameter, solve_part, check, budget=None, k=None) -> Certificate:
+    """Runs solve_part(component, tracker) on each connected component of g,
+    given as a vertex mask and solved in place, sums the parts' bounds into
+    one certificate and re-checks it with check(certificate). Every part has
+    lo <= hi, so the certificate is exact (lo == hi) exactly when each part's
+    bounds meet."""
     tracker = _Tracker(budget or Budget())
-    split = g if split is None else split
     lo = hi = bits = 0
-    exact = True
     pairing = []
-    for comp in connected_components(split):
-        part = solve_part(split, comp, tracker)
+    for comp in connected_components(g):
+        part = solve_part(comp, tracker)
         lo += part.lo
         hi += part.hi
-        exact &= part.exact
         bits |= part.bits
         pairing.extend(part.pairs)
-    cert = Certificate(
-        parameter, lo, hi, exact, VertexSet(g, bits), tuple(sorted(pairing)), k, tracker.nodes
-    )
+    cert = Certificate(parameter, lo, hi, VertexSet(g, bits), tuple(sorted(pairing)), k, tracker.nodes)
     ensure(check(cert), f"{parameter} certificate fails its re-check")
     return cert
 
@@ -440,9 +441,9 @@ def _min_cover(comp: int, cov, blk, cm, edges, tracker) -> _Part:
                 picks, lo, top = found, size, size
                 break
     if edges is None:
-        return _Part(lo, top, bits_of(picks), lo == top)
+        return _Part(lo, top, bits_of(picks))
     pairs = tuple(edges[i] for i in picks)
-    return _Part(2 * lo, 2 * top, bits_of(x for e in pairs for x in e), lo == top, pairs)
+    return _Part(2 * lo, 2 * top, bits_of(x for e in pairs for x in e), pairs)
 
 
 def domination_number(g: Graph, budget: Budget | None = None) -> Certificate:
@@ -450,7 +451,7 @@ def domination_number(g: Graph, budget: Budget | None = None) -> Certificate:
     elements = _vertex_elements(g, False)
     return _solve(
         g, "gamma",
-        lambda _, comp, tracker: _min_cover(comp, *elements, tracker),
+        lambda comp, tracker: _min_cover(comp, *elements, tracker),
         lambda cert: is_dominating(g, cert.witness),
         budget,
     )
@@ -463,7 +464,7 @@ def total_domination_number(g: Graph, budget: Budget | None = None) -> Certifica
     elements = _vertex_elements(g, True)
     return _solve(
         g, "gamma_t",
-        lambda _, comp, tracker: _min_cover(comp, *elements, tracker),
+        lambda comp, tracker: _min_cover(comp, *elements, tracker),
         lambda cert: is_total_dominating(g, cert.witness),
         budget,
     )
@@ -480,7 +481,7 @@ def paired_domination_number(g: Graph, budget: Budget | None = None) -> Certific
     inc, cm = [0] * g.n, [0] * g.n
     return _solve(
         g, "gamma_pr",
-        lambda gc, comp, tracker: _min_cover(comp, *_edge_elements(gc, comp, inc, cm), tracker),
+        lambda comp, tracker: _min_cover(comp, *_edge_elements(g, comp, inc, cm), tracker),
         lambda cert: pairing_is_valid(g, cert.witness, cert.pairing)
         and is_dominating(g, cert.witness),
         budget,
@@ -492,21 +493,21 @@ def paired_domination_number(g: Graph, budget: Budget | None = None) -> Certific
 
 
 def _minimalize_bits(g: Graph, full: int, bits: int) -> int:
-    while True:
-        for v in bit_indices(bits):
-            rest = bits & ~(1 << v)
-            if closed_cover_bits(g, rest) == full:
-                bits = rest
-                break
-        else:
-            return bits
+    """Drops each member, in index order, whose removal still covers full.
+    One pass is enough: dropping members only shrinks the cover, so a member
+    kept because the set without it missed a vertex stays needed."""
+    for v in bit_indices(bits):
+        rest = bits & ~(1 << v)
+        if closed_cover_bits(g, rest) == full:
+            bits = rest
+    return bits
 
 
 def _upper_exhaustive(closed, comp: int) -> _Part:
     """Largest minimal dominating set of component comp (lowest mask)."""
     found = _minimal_covers(closed, comp)
     size = max(found)
-    return _Part(size, size, found[size], True)
+    return _Part(size, size, found[size])
 
 
 def _upper_component(g: Graph, comp: int, elements, tracker) -> _Part:
@@ -558,11 +559,11 @@ def _upper_component(g: Graph, comp: int, elements, tracker) -> _Part:
             if not uncovered & ~closed_cover_bits(g, avail & ~low):
                 stack.append((d_bits, banned | low, size, once, twice))
             stack.append((d_bits | low, banned, size + 1, once | closed[v], twice | once & closed[v]))
-        return _Part(best, best, best_bits, True)
+        return _Part(best, best, best_bits)
     except _BudgetExceeded:
         if len(verts) <= UPPER_SCAN_CAP:
             return _upper_exhaustive(closed, comp)
-        return _Part(best, top, best_bits, False)
+        return _Part(best, top, best_bits)
 
 
 def upper_domination_number(g: Graph, budget: Budget | None = None) -> Certificate:
@@ -571,7 +572,7 @@ def upper_domination_number(g: Graph, budget: Budget | None = None) -> Certifica
     elements = _vertex_elements(g, False)
     return _solve(
         g, "upper_gamma",
-        lambda _, comp, tracker: _upper_component(g, comp, elements, tracker),
+        lambda comp, tracker: _upper_component(g, comp, elements, tracker),
         lambda cert: is_minimal_dominating(g, cert.witness),
         budget,
     )
@@ -585,9 +586,10 @@ def upper_domination_exhaustive(g: Graph):
         raise ResourceError(
             f"exhaustive minimal-dominating scan capped at order {UPPER_SCAN_CAP}"
         )
+    closed = _vertex_elements(g, False)[0]
     cert = _solve(
         g, "upper_gamma",
-        lambda _, comp, __: _upper_exhaustive(_vertex_elements(g, False)[0], comp),
+        lambda comp, _: _upper_exhaustive(closed, comp),
         lambda cert: is_minimal_dominating(g, cert.witness),
     )
     return cert.lo, cert.witness
@@ -676,7 +678,7 @@ def _mis_component(g: Graph, comp: int, tracker) -> _Part:
     changes only on a strict improvement, so the sequence of improvements
     and the witness do not depend on it. The search is skipped when the
     greedy meets the part count, and a budget-exhausted part reports the
-    part count as hi."""
+    part count as hi, so it is exact when the best already meets it."""
     adj = g.adj
     parts = _clique_partition(g, comp)
     part_bit = {}
@@ -735,25 +737,30 @@ def _mis_component(g: Graph, comp: int, tracker) -> _Part:
             stack.append((avail & ~(1 << pick), size, cur))
             stack.append((avail & ~g.closed(pick), size + 1, cur | 1 << pick))
     except _BudgetExceeded:
-        return _Part(best, len(parts), best_bits, False)
-    return _Part(best, best, best_bits, True)
+        return _Part(best, len(parts), best_bits)
+    return _Part(best, best, best_bits)
 
 
 def packing_number(g: Graph, k: int, budget: Budget | None = None) -> Certificate:
     """rho_k: largest set with pairwise distance greater than k (maximum
-    independent set of the distance-power conflict graph)."""
+    independent set of the distance-power conflict graph, whose components
+    are g's own)."""
     conflict = distance_power_conflict_graph(g, k)
     return _solve(
-        g, "rho_k", _mis_component,
+        g, "rho_k",
+        lambda comp, tracker: _mis_component(conflict, comp, tracker),
         lambda cert: is_k_packing(g, cert.witness, k),
-        budget, conflict, k,
+        budget, k,
     )
 
 
 def independence_number(g: Graph, budget: Budget | None = None) -> Certificate:
     """alpha = rho_1."""
     return _solve(
-        g, "alpha", _mis_component, lambda cert: is_k_packing(g, cert.witness, 1), budget
+        g, "alpha",
+        lambda comp, tracker: _mis_component(g, comp, tracker),
+        lambda cert: is_k_packing(g, cert.witness, 1),
+        budget,
     )
 
 

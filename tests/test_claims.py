@@ -343,7 +343,7 @@ def _wrong(cert):
 
 
 def _unsettled(cert):
-    return dataclasses.replace(cert, exact=False, hi=cert.hi + 2)
+    return dataclasses.replace(cert, hi=cert.hi + 2)
 
 
 def _padded(g, diag, pairing):

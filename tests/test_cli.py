@@ -168,6 +168,14 @@ def test_compute_budget_exhaustion_exits_3(tmp_path, capsys):
     assert "bounds = [3, 5]" in out and "exact = false" in out
 
 
+def test_compute_budget_hit_at_the_bound_exits_0(tmp_path, capsys):
+    # alpha reaches the clique-partition bound before the budget runs out
+    g = _write(tmp_path, "random_graph:14:50#17", "r14.adj")
+    code, out, _ = run_cli(capsys, "compute", "alpha", g, "--exact-budget", "6")
+    assert code == 0
+    assert "value = 5" in out and "exact = true" in out
+
+
 def test_budgets_ignore_the_clock(tmp_path, capsys, monkeypatch):
     # node counts are the only budget: a 1-ms DOMLAB_BUDGET_MS changes nothing
     a = _write(tmp_path, "random_graph:7:50#21008106", "ra7.adj")

@@ -191,6 +191,22 @@ def test_budget_on_max_side():
         assert c.lo == len(c.witness) and c.hi >= c.lo
 
 
+@pytest.mark.parametrize(
+    "n, p, seed, budget, value",
+    [(14, 0.5, 17, 6, 5), (16, 0.15, 45, 16, 9), (12, 0.3, 67, 4, 6)],
+)
+def test_drained_mis_search_is_exact(n, p, seed, budget, value):
+    # the search reaches the clique-partition bound, then runs out of budget
+    # popping the nodes left on its stack: the bounds meet, so it is exact
+    c = independence_number(random_graph(n, p, seed), Budget(max_nodes=budget))
+    assert (c.lo, c.hi, c.exact, c.value, c.nodes) == (value, value, True, value, budget + 1)
+
+
+def test_drained_packing_search_is_exact():
+    c = packing_number(random_graph(19, 0.15, 147), 2, Budget(max_nodes=12))
+    assert (c.lo, c.hi, c.exact, c.value, c.nodes) == (6, 6, True, 6, 13)
+
+
 def test_search_node_counts_pinned():
     # A change to search order or pruning must update these counts on purpose.
     # The disjoint-coverer bound prunes the gamma search on C5xC6 and the

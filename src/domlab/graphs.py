@@ -181,30 +181,27 @@ def homed_bits(g: Graph, s: VertexSet) -> int:
     return s.bits
 
 
+def open_cover_bits(g: Graph, bits: int) -> int:
+    """N(S) as bits: the one loop that expands a vertex mask by its rows."""
+    adj = g.adj
+    cover = 0
+    while bits:
+        low = bits & -bits
+        cover |= adj[low.bit_length() - 1]
+        bits ^= low
+    return cover
+
+
 def closed_cover_bits(g: Graph, bits: int) -> int:
     """N[S] as bits."""
-    cover = bits
-    for v in bit_indices(bits):
-        cover |= g.adj[v]
-    return cover
-
-
-def open_cover_bits(g: Graph, bits: int) -> int:
-    """N(S) as bits."""
-    cover = 0
-    for v in bit_indices(bits):
-        cover |= g.adj[v]
-    return cover
+    return bits | open_cover_bits(g, bits)
 
 
 def ball_bits(g: Graph, src: int, k: int) -> int:
     """Vertices within distance <= k of src, including src."""
     seen = frontier = 1 << src
     for _ in range(k):
-        nxt = 0
-        for v in bit_indices(frontier):
-            nxt |= g.adj[v]
-        frontier = nxt & ~seen
+        frontier = open_cover_bits(g, frontier) & ~seen
         if not frontier:
             break
         seen |= frontier
@@ -228,10 +225,7 @@ def connected_components(g: Graph) -> list[int]:
     while left:
         seen = frontier = left & -left
         while frontier:
-            nxt = 0
-            for v in bit_indices(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & ~seen
+            frontier = open_cover_bits(g, frontier) & ~seen
             seen |= frontier
         comps.append(seen)
         left &= ~seen

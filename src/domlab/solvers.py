@@ -18,25 +18,27 @@ The minimum side is one deepening cover search over elements with pairwise
 disjointness: vertices with closed covers for gamma and open covers for
 gamma_t, edges covering both closed neighborhoods for gamma_pr. Each
 vertex's coverers are one mask over element indices, and the vertices are
-grouped into levels, one mask per coverer count. A greedy gives the upper
-end, a counting bound the lower end, and the search tries each size in
-between, branching on the lowest uncovered vertex of the lowest level. A
-node is pruned when the picks left cannot finish the cover by either of two
-bounds: counting (no pick covers more than the largest cover), or disjoint
-coverers (uncovered vertices whose coverer sets are pairwise disjoint each
-need a pick of their own). The second walks the levels, and each vertex it
-counts clears its conflict mask, the vertices whose coverers meet its own,
-so it loops once per vertex counted; the root's walk runs once per search.
-It is skipped where a cap computed from the coverer counts shows it cannot
-prune, and at the last pick, which one AND of coverer masks settles while
-still counting one node per free coverer tried. upper_gamma runs include/exclude branch-and-bound over
-irredundant sets (each member covers a vertex no other member covers) on
-masks of the vertices covered once and twice, and rho_k and alpha a maximum
-independent set search bounded by the part count of a clique partition. All
-three run on explicit stacks, so the call stack bounds none of their depths.
-One enumeration of minimal covers, extending irredundant sets instead of
-scanning all subsets, backs the upper_gamma fallback and oracle and the
-minimal total dominating sizes.
+grouped into levels, one mask per coverer count. The greedy less its
+redundant picks gives the upper end, the larger of a counting bound and the
+root's disjoint-coverer count the lower end, and the search tries each size
+in between. It branches on the lowest uncovered vertex of the lowest level,
+and each child also blocks its lower siblings, so each pick set is reached
+once. A node is pruned when the picks left cannot finish the cover by either
+of two bounds: counting (no pick covers more than the largest cover), or
+disjoint coverers (uncovered vertices whose coverer sets are pairwise
+disjoint each need a pick of their own). The second walks the levels, and
+each vertex it counts clears its conflict mask, the vertices whose coverers
+meet its own, so it loops once per vertex counted. It is skipped where a cap
+computed from the coverer counts shows it cannot prune, and at the last
+pick, which one AND of coverer masks settles while still counting one node
+per free coverer tried. upper_gamma runs include/exclude branch-and-bound
+over irredundant sets (each member covers a vertex no other member covers)
+on masks of the vertices covered once and twice, and rho_k and alpha a
+maximum independent set search bounded by the part count of a clique
+partition. All three run on explicit stacks, so the call stack bounds none
+of their depths. One enumeration of minimal covers, extending irredundant
+sets instead of scanning all subsets, backs the upper_gamma fallback and
+oracle and the minimal total dominating sizes.
 
 All tie-breaks pick the lowest vertex or edge index, so witnesses are
 deterministic. Every solver takes an explicit budget; exceeding it yields an
@@ -309,17 +311,22 @@ def _greedy(cov, blk, elems, full: int):
 
 
 def _cover_search(cov, blk, cm, full, room, maxcov, tracker):
-    """search(size) -> indices of `size` disjoint elements covering full, or
-    None; what does not depend on the size is built once, here. full is the
-    component, solved in place, and room its element count.
+    """(search, root_need): search(size) -> indices of `size` disjoint
+    elements covering full, or None; root_need is the root's disjoint-coverer
+    count, a lower bound on the cover size. Both are built once per search.
+    full is the component, solved in place, and room its element count.
 
     levels groups the vertices by coverer count, ascending, one vertex mask
     per count. The search runs depth-first on an explicit stack of (covered,
     blocked, picks) nodes. It branches on the lowest uncovered vertex of the
     first level that holds one (fewest coverers, lowest index on ties),
     pushing the bits of its free coverer mask highest first to pop them in
-    index order, and prunes a node by two lower bounds on the picks still
-    needed:
+    index order. When the child for coverer i is pushed, free holds exactly
+    the free coverers below i, and the child blocks them too: a cover through
+    i and a lower sibling j lies in j's subtree, which the depth-first search
+    exhausts before it reaches i. So refutations stay complete, the first
+    cover found at each size is unchanged, and each pick set is reached
+    once. Two lower bounds on the picks still needed prune a node:
 
     - counting: no pick covers more than maxcov vertices;
     - disjoint coverers: walking the uncovered vertices fewest coverers
@@ -330,19 +337,18 @@ def _cover_search(cov, blk, cm, full, room, maxcov, tracker):
       (the covers of v's coverers, as covers are symmetric), so the walk
       takes the lowest candidate of each level in turn and clears conf[v]
       from the candidates: it loops once per vertex it counts. The root's
-      count does not depend on the size, so it is walked once per search.
+      count, root_need, does not depend on the size, so it is walked once.
 
-    Both cut only subtrees that hold no cover, so the first cover found, and
-    every witness with it, does not depend on them. The second runs only
-    where it can prune: at most `cap` coverer sets are pairwise disjoint
-    (their sizes, smallest first, must fit into the element count), so it is
-    skipped once the picks left reach cap. It is also skipped at the last
-    pick, which one computation settles: the AND of the branching vertex's
-    free coverer mask with the coverer masks of the uncovered vertices
-    holds the picks that finish the cover. Each free coverer tried counts
-    one node, in index order up to and including the lowest hit, or all of
-    them when there is none, so node counts and budget hits are those of
-    trying the coverers one by one (_Tracker.spend)."""
+    Both cut only subtrees that hold no cover, so no witness depends on
+    them. The second runs only where it can prune: at most `cap` coverer
+    sets are pairwise disjoint (their sizes, smallest first, must fit into
+    the element count), so it is skipped once the picks left reach cap. It
+    is also skipped at the last pick, which one computation settles: the AND
+    of the branching vertex's free coverer mask with the coverer masks of
+    the uncovered vertices holds the picks that finish the cover. Each free
+    coverer tried counts one node, in index order up to and including the
+    lowest hit, or all of them when there is none, so node counts and budget
+    hits are those of trying the coverers one by one (_Tracker.spend)."""
     verts = bit_indices(full)
     counts = [cm[v].bit_count() for v in verts]
     by_count = {}
@@ -414,24 +420,46 @@ def _cover_search(cov, blk, cm, full, room, maxcov, tracker):
             while free:
                 i = free.bit_length() - 1
                 free ^= 1 << i
-                stack.append((covered | cov[i], blocked | blk[i], picks + (i,)))
+                stack.append((covered | cov[i], blocked | blk[i] | free, picks + (i,)))
         return None
 
-    return search
+    return search, root_need
+
+
+def _minimalize(cov, picks, full: int) -> list:
+    """The picks in index order, less each one that the picks kept before it
+    and all those after it still cover full without. One pass is enough:
+    dropping picks only shrinks the cover, so a pick kept because the set
+    without it missed a vertex stays needed. Suffix ORs make it O(k) ORs."""
+    picks = sorted(picks)
+    after = [0] * (len(picks) + 1)
+    for t in range(len(picks) - 1, -1, -1):
+        after[t] = after[t + 1] | cov[picks[t]]
+    kept = []
+    before = 0
+    for t, i in enumerate(picks):
+        if full & ~(before | after[t + 1]):
+            kept.append(i)
+            before |= cov[i]
+    return kept
 
 
 def _min_cover(comp: int, cov, blk, cm, edges, tracker) -> _Part:
-    """Fewest disjoint elements covering component comp: deepening on the
-    element count from the counting bound up to the greedy's count (exact
-    unless the budget ends it); sizes in vertices, picked edges pair them."""
+    """Fewest disjoint elements covering component comp (exact unless the
+    budget ends it); sizes in vertices, picked edges pair them. The greedy
+    less its redundant picks (_minimalize) is the upper end and the witness
+    unless a smaller cover is found. Deepening starts at the larger of the
+    counting bound and root_need, so a budget hit's lo is at least that."""
     elems = bit_indices(comp) if edges is None else range(len(edges))
     picks = _greedy(cov, blk, elems, comp)
-    lo = top = len(picks)
     maxcov = max(cov[i].bit_count() for i in elems)
     lb = max(1, -(-comp.bit_count() // maxcov))
+    if lb < len(picks):
+        picks = _minimalize(cov, picks, comp)
+    lo = top = len(picks)
     if lb < top:
-        search = _cover_search(cov, blk, cm, comp, len(elems), maxcov, tracker)
-        for size in range(lb, top):
+        search, root_need = _cover_search(cov, blk, cm, comp, len(elems), maxcov, tracker)
+        for size in range(max(lb, root_need), top):
             try:
                 found = search(size)
             except _BudgetExceeded:
@@ -492,17 +520,6 @@ def paired_domination_number(g: Graph, budget: Budget | None = None) -> Certific
 # maximum-side: upper_gamma
 
 
-def _minimalize_bits(g: Graph, full: int, bits: int) -> int:
-    """Drops each member, in index order, whose removal still covers full.
-    One pass is enough: dropping members only shrinks the cover, so a member
-    kept because the set without it missed a vertex stays needed."""
-    for v in bit_indices(bits):
-        rest = bits & ~(1 << v)
-        if closed_cover_bits(g, rest) == full:
-            bits = rest
-    return bits
-
-
 def _upper_exhaustive(closed, comp: int) -> _Part:
     """Largest minimal dominating set of component comp (lowest mask)."""
     found = _minimal_covers(closed, comp)
@@ -526,7 +543,7 @@ def _upper_component(g: Graph, comp: int, elements, tracker) -> _Part:
     minimalized greedy meets it, so it moves no witness."""
     closed, blk, _, _ = elements
     verts = bit_indices(comp)
-    best_bits = _minimalize_bits(g, comp, bits_of(_greedy(closed, blk, verts, comp)))
+    best_bits = bits_of(_minimalize(closed, _greedy(closed, blk, verts, comp), comp))
     best = best_bits.bit_count()
     top = len(verts) - min(g.adj[v].bit_count() for v in verts)
 

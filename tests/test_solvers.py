@@ -56,6 +56,7 @@ from domlab.solvers import (
     _edge_elements,
     _greedy,
     _minimal_covers,
+    _minimalize,
     _vertex_elements,
     domination_number,
     independence_number,
@@ -216,44 +217,44 @@ def test_search_node_counts_pinned():
     t = total_domination_number(multiway_direct_complete([3, 3, 3]), Budget(max_nodes=10_000))
     p = paired_domination_number(c5c6)
     p78 = paired_domination_number(direct_product(cycle(7), cycle(8))[0])
-    assert (g.value, g.nodes, g.witness.members()) == (7, 285, [0, 1, 9, 12, 17, 20, 28])
-    assert (t.value, t.nodes, t.witness.members()) == (5, 3456, [3, 7, 13, 15, 20])
-    assert (p.value, p.nodes) == (10, 15460)
+    assert (g.value, g.nodes, g.witness.members()) == (7, 244, [0, 1, 9, 12, 17, 20, 28])
+    assert (t.value, t.nodes, t.witness.members()) == (5, 961, [1, 3, 9, 13, 26])
+    assert (p.value, p.nodes) == (10, 10854)
     assert p.pairing == ((0, 7), (1, 24), (8, 15), (14, 21), (22, 29))
-    assert (p78.value, p78.nodes) == (16, 30098)
+    assert (p78.value, p78.nodes) == (16, 21687)
 
 
 _K5_4_GT = (3, 5, False)  # gamma_t of K5^4 under a budget: bounds from the greedy
 _K5_4_WITNESS = (0, 156, 312, 468, 624)
 _C78_WITNESS = (0, 1, 4, 5, 8, 9, 12, 13, 24, 25, 28, 29, 32, 33, 36, 37)
 _C78_PAIRING = ((0, 9), (1, 8), (4, 13), (5, 12), (24, 33), (25, 32), (28, 37), (29, 36))
-_PAIR34_BUDGET_WITNESS = (10, 11, 15, 23, 26, 34, 40, 42, 47, 50, 53)  # the greedy's
+_PAIR34_WITNESS = (10, 11, 15, 23, 34, 40, 42, 47, 50, 53)  # the greedy's less 26
 _LOL120_WITNESS = (0, 5, *[v for u in range(8, 121, 4) for v in (u, u + 1)], 122, 123)
 
 # (graph, parameter, budget) -> (lo, hi, exact, nodes, witness, pairing). The
 # last pick counts one node per free coverer tried, so the budgets around
-# 256 (the coverer count of a K5^4 vertex) and C7xC8 at 30097 (its exact
-# search ends at node 30098, on a last pick) must end at these nodes. pair34
-# at 9,000 runs out inside a refutation the disjoint-coverer walk prunes, and
-# at 20,000 inside the search that finds the cover. The lollipop's sizes are
-# mostly pruned at the root, whose walk runs once per search, also under a
-# budget.
+# 256 (the coverer count of a K5^4 vertex) and C7xC8 at 21686 (its exact
+# search ends at node 21687, on a last pick) must end at these nodes. pair34's
+# greedy has a redundant pick, and the minimalized greedy is optimal: the
+# deepening starts at the root's disjoint-coverer count 7 (the counting
+# bound is 4), so a budget of 10 reports lo 7, and one of 5,000 runs out
+# inside the size-9 refutation. P4xP5 and P4xP6 settle gamma at the root.
 _SEARCH_TABLE = [
     *[(("K5^4", "gamma_t", b), (*_K5_4_GT, b + 1, _K5_4_WITNESS, ()))
       for b in (1, 2, 255, 256, 257, 1000, 4097)],
-    (("pair34", "gamma", None), (10, 10, True, 32746, (3, 8, 15, 23, 34, 38, 40, 42, 50, 53), ())),
-    (("pair34", "gamma", 9000), (9, 11, False, 9001, _PAIR34_BUDGET_WITNESS, ())),
-    (("pair34", "gamma", 20000), (10, 11, False, 20001, _PAIR34_BUDGET_WITNESS, ())),
-    (("lol120", "gamma_t", None), (62, 62, True, 165, _LOL120_WITNESS, ())),
+    (("pair34", "gamma", None), (10, 10, True, 8486, _PAIR34_WITNESS, ())),
+    (("pair34", "gamma", 10), (7, 10, False, 11, _PAIR34_WITNESS, ())),
+    (("pair34", "gamma", 5000), (9, 10, False, 5001, _PAIR34_WITNESS, ())),
+    (("lol120", "gamma_t", None), (62, 62, True, 129, _LOL120_WITNESS, ())),
     (("lol120", "gamma_t", 50), (61, 62, False, 51, _LOL120_WITNESS, ())),
     (("C7xC8", "gamma_pr", 1000), (14, 16, False, 1001, _C78_WITNESS, _C78_PAIRING)),
-    (("C7xC8", "gamma_pr", 30097), (14, 16, False, 30098, _C78_WITNESS, _C78_PAIRING)),
-    (("C7xC8", "gamma_pr", None), (16, 16, True, 30098, _C78_WITNESS, _C78_PAIRING)),
-    (("P4xP5", "gamma", None), (6, 6, True, 2, (6, 7, 8, 11, 12, 13), ())),
+    (("C7xC8", "gamma_pr", 21686), (14, 16, False, 21687, _C78_WITNESS, _C78_PAIRING)),
+    (("C7xC8", "gamma_pr", None), (16, 16, True, 21687, _C78_WITNESS, _C78_PAIRING)),
+    (("P4xP5", "gamma", None), (6, 6, True, 0, (6, 7, 8, 11, 12, 13), ())),
     (("P4xP5", "gamma_t", None), (6, 6, True, 0, (6, 7, 8, 11, 12, 13), ())),
     (("P4xP5", "gamma_pr", None),
      (8, 8, True, 0, (2, 6, 7, 8, 9, 11, 12, 13), ((2, 8), (6, 12), (7, 11), (9, 13)))),
-    (("P4xP6", "gamma", None), (8, 8, True, 2, (4, 7, 8, 10, 12, 13, 15, 16), ())),
+    (("P4xP6", "gamma", None), (8, 8, True, 0, (4, 7, 8, 10, 12, 13, 15, 16), ())),
 ]
 
 
@@ -358,9 +359,10 @@ def _hub_cycle(n, spokes):
 
 
 def test_cover_search_deeper_than_the_call_stack_is_exact():
-    # gamma_t of this graph is 102, so its size-101 search goes deeper than
-    # the lowered limit would let a recursion go; the search runs on its own
-    # stack, so the limit changes nothing.
+    # gamma_t of this graph is 102 and the root's disjoint-coverer count 101,
+    # so the one size searched is 101, 100 picks deep at its last picks:
+    # deeper than the lowered limit would let a recursion go. The search runs
+    # on its own stack, so the limit changes nothing.
     g = _hub_cycle(300, 100)
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
@@ -368,7 +370,7 @@ def test_cover_search_deeper_than_the_call_stack_is_exact():
         c = total_domination_number(g)
     finally:
         sys.setrecursionlimit(old)
-    assert (c.value, c.nodes) == (102, 298)
+    assert (c.value, c.nodes) == (102, 201)
     assert len(c.witness) == 102 and is_total_dominating(g, c.witness)
     assert total_domination_number(g) == c
 
@@ -466,9 +468,10 @@ def test_upper_gamma_root_bound_against_exhaustive():
         assert not c.exact and c.hi == hi >= upper_domination_number(h).value
 
 
-# Direct products of order 14..16 on which the disjoint-coverer bound prunes
-# search nodes: gamma on all but P3xP5, gamma_t on all, gamma_pr on the three
-# K2 products. The brute-force gamma_pr stays under a second at these orders.
+# Direct products of order 14..16 on which the disjoint-coverer bound starts
+# the deepening above the counting bound or prunes search nodes: gamma on all
+# but P3xP5, gamma_t on all, gamma_pr on the three K2 products. The
+# brute-force gamma_pr stays under a second at these orders.
 _PRUNED_PRODUCTS = {
     "C5xP3": (cycle(5), path(3)),
     "C7xK2": (cycle(7), path(2)),
@@ -487,6 +490,68 @@ def test_min_side_matches_oracles_where_the_bound_prunes(name):
     assert domination_number(g).value == brute_gamma(g)
     assert total_domination_number(g).value == brute_gamma_t(g)
     assert paired_domination_number(g).value == brute_gamma_pr(g)
+
+
+def _min_side_cases():
+    """Seeded isolate-free random graphs of order 2..14, sparse enough that
+    the greedy often overshoots, and direct products of two small ones up to
+    order 15, some with several components."""
+    rng = random.Random(151)
+    graphs = []
+    for i in range(120):
+        g = random_graph(rng.randrange(2, 15), rng.choice([0.15, 0.25, 0.35, 0.5]), 14000 + i)
+        if not has_isolated_vertex(g):
+            graphs.append(g)
+    yield from graphs
+    small = [g for g in graphs if g.n <= 5]
+    for i in range(40):
+        g, _ = direct_product(rng.choice(small), rng.choice(small))
+        if g.n <= 15 and not has_isolated_vertex(g):
+            yield g
+
+
+def test_min_side_matches_the_oracles_on_random_graphs_and_products():
+    # Sibling exclusion, the minimalized upper end and the root start each
+    # change which covers the search visits; the values must not move.
+    checked = 0
+    for g in _min_side_cases():
+        for solve, brute, check in (
+            (domination_number, brute_gamma, is_dominating),
+            (total_domination_number, brute_gamma_t, is_total_dominating),
+            (paired_domination_number, brute_gamma_pr, is_dominating),
+        ):
+            c = solve(g)
+            assert c.value == brute(g) == len(c.witness), (g.label, c.parameter)
+            assert check(g, c.witness)
+        checked += 1
+    assert checked >= 60
+
+
+def test_minimalize_matches_dropping_in_index_order():
+    # The quadratic definition: for each pick in index order, drop it when
+    # the picks still held without it cover full.
+    def union(cov, picks):
+        out = 0
+        for i in picks:
+            out |= cov[i]
+        return out
+
+    rng = random.Random(157)
+    for _ in range(300):
+        n = rng.randrange(1, 12)
+        cov = [rng.getrandbits(n) for _ in range(rng.randrange(1, 16))]
+        full = union(cov, range(len(cov)))
+        picks = rng.sample(range(len(cov)), rng.randrange(1, len(cov) + 1))
+        if union(cov, picks) != full:
+            picks = list(range(len(cov)))
+        want = sorted(picks)
+        for i in sorted(picks):
+            rest = [j for j in want if j != i]
+            if union(cov, rest) == full:
+                want = rest
+        got = _minimalize(cov, picks, full)
+        assert got == want
+        assert all(union(cov, [j for j in got if j != i]) != full for i in got)
 
 
 def test_greedy_cover_never_blocks_on_isolated_free_graphs():

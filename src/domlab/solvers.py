@@ -31,14 +31,16 @@ each vertex it counts clears its conflict mask, the vertices whose coverers
 meet its own, so it loops once per vertex counted. It is skipped where a cap
 computed from the coverer counts shows it cannot prune, and at the last
 pick, which one AND of coverer masks settles while still counting one node
-per free coverer tried. upper_gamma runs include/exclude branch-and-bound
-over irredundant sets (each member covers a vertex no other member covers)
-on masks of the vertices covered once and twice, and rho_k and alpha a
+per free coverer tried. The maximum side walks the irredundant sets (each
+member covers a vertex no other member covers) once, passing the cover
+masks and the addable candidates from parent to child: upper_gamma with a
+floor that starts at the minimalized greedy, and with no floor and no
+tracker the exhaustive upper_gamma, the minimal total dominating sizes and
+a budget-hit upper_gamma component of at most UPPER_SCAN_CAP vertices (so
+it comes back exact, and that work is not in nodes). rho_k and alpha run a
 maximum independent set search bounded by the part count of a clique
-partition. All three run on explicit stacks, so the call stack bounds none
-of their depths. One enumeration of minimal covers, extending irredundant
-sets instead of scanning all subsets, backs the upper_gamma fallback and
-oracle and the minimal total dominating sizes.
+partition. Both searches run on explicit stacks, so the call stack bounds
+neither depth.
 
 All tie-breaks pick the lowest vertex or edge index, so witnesses are
 deterministic. Every solver takes an explicit budget; exceeding it yields an
@@ -520,72 +522,111 @@ def paired_domination_number(g: Graph, budget: Budget | None = None) -> Certific
 # maximum-side: upper_gamma
 
 
-def _upper_exhaustive(closed, comp: int) -> _Part:
-    """Largest minimal dominating set of component comp (lowest mask)."""
-    found = _minimal_covers(closed, comp)
-    size = max(found)
-    return _Part(size, size, found[size])
+def _irredundant_walk(cov, full, found, floor=None, tracker=None) -> dict:
+    """Records in found ({size: lowest mask}, returned) the minimal covers of
+    full, a union of components of the symmetric cover list cov: the covers
+    among the irredundant sets, where each member covers a vertex no other
+    member covers. A candidate is addable while its cover meets an uncovered
+    vertex and misses a private vertex (cover & once & ~twice) of each
+    member; by symmetry, the candidates covering all of a set P are the AND
+    of P's covers. Neither test passes again once it fails, so the addable
+    mask passes from parent to child, and a pick re-checks only the
+    candidates covering a vertex it newly covers and the private sets it
+    makes or shrinks. The walk branches on the lowest addable v, included
+    first, on an explicit stack; the child excluding v is pushed only if
+    each uncovered vertex v covers keeps another addable coverer. A leaf
+    that leaves nothing uncovered is a minimal cover, reached once.
+
+    With a floor (upper_gamma; found holds its cover) the walk ticks tracker
+    per node, prunes a node whose size plus addable count cannot pass the
+    floor and raises the floor to each cover it records. Covers are met in
+    one order (the set holding the lowest vertex of a symmetric difference
+    first) and pruning cuts only subtrees without a larger cover, so no
+    record depends on it."""
+    stack = [(0, 0, 0, bits_of(v for v in bit_indices(full) if cov[v]))]
+    while stack:
+        members, once, twice, add = stack.pop()
+        if floor is not None:
+            tracker.tick()
+            if members.bit_count() + add.bit_count() <= floor:
+                continue
+        if not add:
+            size = members.bit_count()
+            if once == full and members < found.get(size, members + 1):
+                found[size] = members
+                floor = None if floor is None else size
+            continue
+        low = add & -add
+        rest = add ^ low
+        c = cov[low.bit_length() - 1]
+        # v's private vertices are those it newly covers: hold covers them all
+        near, hold, alive = 0, rest, True
+        scan = c & ~once
+        while scan:
+            u = scan & -scan
+            scan ^= u
+            cu = cov[u.bit_length() - 1]
+            alive = alive and cu & rest
+            near |= cu
+            hold &= cu
+        if alive:
+            stack.append((members, once, twice, rest))
+        taken = c & once & ~twice
+        twice |= once & c
+        once |= c
+        keep = rest & ~hold
+        near &= keep
+        while near:
+            x = near & -near
+            near ^= x
+            if not cov[x.bit_length() - 1] & ~once:
+                keep ^= x
+        # v takes private vertices from their owners: drop what covers the rest
+        while taken:
+            u = taken & -taken
+            cd = cov[(cov[u.bit_length() - 1] & members).bit_length() - 1]
+            taken &= ~cd
+            hold = keep
+            scan = cd & once & ~twice
+            while scan and hold:
+                w = scan & -scan
+                scan ^= w
+                hold &= cov[w.bit_length() - 1]
+            keep ^= hold
+        stack.append((members | low, once, twice, keep))
+    return found
 
 
 def _upper_component(g: Graph, comp: int, elements, tracker) -> _Part:
-    """Include/exclude branch and bound over irredundant sets D; once and
-    twice mask the vertices N[D] covers at least once and twice. v is
-    addable when N[v] meets an uncovered vertex and, for each member d,
-    misses one of d's private vertices N[d] & once & ~twice. N[] is
-    symmetric, so the first holds on N[uncovered] and the second fails on
-    the intersection of N[u] over d's private vertices u.
-
-    The root's upper end is n - delta (Bollobas & Cockayne 1979) for a
-    minimal dominating set D: if a member d has a private vertex u outside
-    D, then u and N(u) - {d} lie outside D; if none has, D is independent
-    and any member u has N(u) outside D; either way |V - D| >= deg(u). It
-    serves only as the budget-hit hi and to skip the search when the
-    minimalized greedy meets it, so it moves no witness."""
+    """Largest minimal dominating set of component comp: the irredundant walk
+    over closed covers, its floor starting at the minimalized greedy; a
+    budget hit on at most UPPER_SCAN_CAP vertices walks comp again with no
+    floor and no tracker, exact and not counted in nodes. The upper end is
+    n - delta (Bollobas & Cockayne 1979) for a minimal dominating set D: if
+    a member d has a private vertex u outside D, then u and N(u) - {d} lie
+    outside D; if none has, D is independent and any member u has N(u)
+    outside D; either way |V - D| >= deg(u). It is only the budget-hit hi
+    and skips the walk when the greedy meets it, so it moves no witness."""
     closed, blk, _, _ = elements
     verts = bit_indices(comp)
     best_bits = bits_of(_minimalize(closed, _greedy(closed, blk, verts, comp), comp))
     best = best_bits.bit_count()
     top = len(verts) - min(g.adj[v].bit_count() for v in verts)
-
-    # Depth-first on an explicit stack (a cycle's path runs through
-    # thousands of levels): the include child is pushed last, so it is
-    # explored first. A node with addable vertices has uncovered ones.
-    stack = [(0, 0, 0, 0, 0)] if best < top else []
+    found = {best: best_bits}
     try:
-        while stack:
-            d_bits, banned, size, once, twice = stack.pop()
-            tracker.tick()
-            avail = comp & ~d_bits & ~banned
-            uncovered = comp & ~once
-            addable = avail & closed_cover_bits(g, uncovered)
-            alone = once & ~twice
-            for d in bit_indices(d_bits):
-                holds = comp
-                for u in bit_indices(closed[d] & alone):
-                    holds &= closed[u]
-                addable &= ~holds
-            count = addable.bit_count()
-            if size + count <= best:
-                continue
-            if not count:
-                if not uncovered:
-                    best, best_bits = size, d_bits
-                continue
-            low = addable & -addable
-            v = low.bit_length() - 1
-            if not uncovered & ~closed_cover_bits(g, avail & ~low):
-                stack.append((d_bits, banned | low, size, once, twice))
-            stack.append((d_bits | low, banned, size + 1, once | closed[v], twice | once & closed[v]))
-        return _Part(best, best, best_bits)
+        if best < top:
+            _irredundant_walk(closed, comp, found, best, tracker)
     except _BudgetExceeded:
-        if len(verts) <= UPPER_SCAN_CAP:
-            return _upper_exhaustive(closed, comp)
-        return _Part(best, top, best_bits)
+        if len(verts) > UPPER_SCAN_CAP:
+            return _Part(max(found), top, found[max(found)])
+        found = _irredundant_walk(closed, comp, {})
+    best = max(found)
+    return _Part(best, best, found[best])
 
 
 def upper_domination_number(g: Graph, budget: Budget | None = None) -> Certificate:
-    """upper_gamma: largest minimal dominating set (branch and bound on
-    include/exclude decisions, private-neighbor obligations pruned eagerly)."""
+    """upper_gamma: largest minimal dominating set (the irredundant walk with
+    a floor, private-vertex obligations kept incrementally)."""
     elements = _vertex_elements(g, False)
     return _solve(
         g, "upper_gamma",
@@ -596,20 +637,29 @@ def upper_domination_number(g: Graph, budget: Budget | None = None) -> Certifica
 
 
 def upper_domination_exhaustive(g: Graph):
-    """Exhaustive upper_gamma, independent of the branch and bound: the lowest
-    mask of the largest size among all minimal dominating sets, which
-    _minimal_covers lists; order <= 20 overall; returns (value, witness)."""
+    """Exhaustive upper_gamma: the lowest mask of the largest size among all
+    minimal dominating sets, which the irredundant walk with no floor lists;
+    order <= 20 overall; returns (value, witness)."""
     if g.n > UPPER_SCAN_CAP:
-        raise ResourceError(
-            f"exhaustive minimal-dominating scan capped at order {UPPER_SCAN_CAP}"
-        )
+        raise ResourceError(f"exhaustive minimal-dominating scan capped at order {UPPER_SCAN_CAP}")
     closed = _vertex_elements(g, False)[0]
-    cert = _solve(
-        g, "upper_gamma",
-        lambda comp, _: _upper_exhaustive(closed, comp),
-        lambda cert: is_minimal_dominating(g, cert.witness),
-    )
+
+    def largest(comp, _):
+        found = _irredundant_walk(closed, comp, {})
+        return _Part(max(found), max(found), found[max(found)])
+
+    cert = _solve(g, "upper_gamma", largest, lambda cert: is_minimal_dominating(g, cert.witness))
     return cert.lo, cert.witness
+
+
+def minimal_total_dominating_sizes(g: Graph) -> set:
+    """Sizes of the inclusion-minimal members of the total dominating family
+    (minimal among total dominating sets); exhaustive, order <= 16."""
+    if g.n > 16:
+        raise ResourceError("exhaustive total-dominating scan capped at order 16")
+    if has_isolated_vertex(g):
+        raise DomainError("total domination undefined with isolated vertices")
+    return set(_irredundant_walk(g.adj, g.full_bits(), {}))
 
 
 # ---------------------------------------------------------------------------
@@ -779,54 +829,3 @@ def independence_number(g: Graph, budget: Budget | None = None) -> Certificate:
         lambda cert: is_k_packing(g, cert.witness, 1),
         budget,
     )
-
-
-# ---------------------------------------------------------------------------
-# exhaustive structure scans
-
-
-def _minimal_covers(cover, full: int) -> dict:
-    """{size: lowest mask} over the inclusion-minimal vertex masks whose covers
-    union to full: the covers among the irredundant masks, where each member
-    covers a vertex no other member covers. Dropping members never takes a
-    private vertex away, so that family is closed under taking subsets, and
-    a depth-first extension in increasing index that stops where a member
-    loses its last private vertex visits each irredundant mask once. It
-    visits every minimal cover, so each size keeps the all-subsets lowest.
-    Covers count only inside full, so the vertices whose covers miss it,
-    which no minimal cover holds, are never tried."""
-    found = {}
-    cands = [(v, c & full) for v, c in enumerate(cover) if c & full]
-    _extend_covers(cands, full, found, 0, 0, 0, 0, [])
-    return found
-
-
-def _extend_covers(cands, full, found, mask, once, twice, start, members):
-    """_minimal_covers' step from mask: one level per member, order-capped."""
-    if once == full:
-        size = mask.bit_count()
-        if mask < found.get(size, mask + 1):
-            found[size] = mask
-        return
-    for j in range(start, len(cands)):
-        v, c = cands[j]
-        if not c & ~once:
-            continue
-        both = twice | once & c
-        for d in members:
-            if not d & ~both:
-                break
-        else:
-            members.append(c)
-            _extend_covers(cands, full, found, mask | 1 << v, once | c, both, j + 1, members)
-            members.pop()
-
-
-def minimal_total_dominating_sizes(g: Graph) -> set:
-    """Sizes of the inclusion-minimal members of the total dominating family
-    (minimal among total dominating sets); exhaustive, order <= 16."""
-    if g.n > 16:
-        raise ResourceError("exhaustive total-dominating scan capped at order 16")
-    if has_isolated_vertex(g):
-        raise DomainError("total domination undefined with isolated vertices")
-    return set(_minimal_covers(g.adj, g.full_bits()))

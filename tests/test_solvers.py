@@ -1,7 +1,9 @@
 """Exact solvers: frozen values, certificates, budgets, witness constructions."""
 
 import gc
+import hashlib
 import inspect
+import itertools
 import os
 import random
 import subprocess
@@ -55,7 +57,7 @@ from domlab.solvers import (
     _clique_partition,
     _edge_elements,
     _greedy,
-    _minimal_covers,
+    _irredundant_walk,
     _minimalize,
     _vertex_elements,
     domination_number,
@@ -322,7 +324,7 @@ def test_max_side_node_counts_pinned():
         150, 151, 152, 153, 154, 156, 158, 160, 162, 164, 171, 173, 175, 177, 179,
     ]
     r6 = upper_domination_number(rook2xn(6))
-    assert (r6.value, r6.nodes, r6.witness.members()) == (6, 63, [0, 1, 2, 3, 4, 5])
+    assert (r6.value, r6.nodes, r6.witness.members()) == (6, 59, [0, 1, 2, 3, 4, 5])
     c5c6, _ = direct_product(cycle(5), cycle(6))
     a56 = independence_number(c5c6)
     assert (a56.value, a56.nodes, a56.witness.members()) == (15, 0, list(range(0, 30, 2)))
@@ -441,16 +443,21 @@ def test_clique_partition_is_a_cover_by_disjoint_cliques():
     assert bipartite >= 20
 
 
+def _upper_cases():
+    """Seeded isolate-free random graphs of order 2..12."""
+    rng = random.Random(103)
+    for trial in range(200):
+        g = random_graph(rng.randrange(2, 13), rng.choice([0.3, 0.5, 0.8, 0.95]), 12000 + trial)
+        if not has_isolated_vertex(g):
+            yield g
+
+
 def test_upper_gamma_root_bound_against_exhaustive():
     # Gamma <= n - delta on each component: the search is skipped where the
     # minimalized greedy meets it, and a budget-hit part above the
     # exhaustive fallback's order cap reports it as hi.
-    rng = random.Random(103)
     skipped = checked = 0
-    for trial in range(200):
-        g = random_graph(rng.randrange(2, 13), rng.choice([0.3, 0.5, 0.8, 0.95]), 12000 + trial)
-        if any(g.degree(v) == 0 for v in range(g.n)):
-            continue
+    for g in _upper_cases():
         value, _ = upper_domination_exhaustive(g)
         c = upper_domination_number(g)
         assert c.value == value, g.label
@@ -466,6 +473,31 @@ def test_upper_gamma_root_bound_against_exhaustive():
     for h, hi in ((g, top), (two, 2 * top)):
         c = upper_domination_number(h, Budget(max_nodes=1))
         assert not c.exact and c.hi == hi >= upper_domination_number(h).value
+
+
+def test_upper_gamma_witnesses_pinned():
+    # The branch and bound and the exhaustive scan share one walk. Node
+    # counts may move with its pruning; values and witnesses may not. One
+    # digest covers both on _upper_cases and on direct products of seeded
+    # isolate-free graphs of order at most 16.
+    def products():
+        rng = random.Random(109)
+        for trial in range(100):
+            a = rng.randrange(2, 5)
+            g = random_graph(a, 0.8, 13000 + trial)
+            h = random_graph(rng.randrange(3, 16 // a + 1), rng.choice([0.3, 0.5, 0.8]), 13500 + trial)
+            if not has_isolated_vertex(g) and not has_isolated_vertex(h):
+                yield direct_product(g, h)[0]
+
+    digest = hashlib.sha256()
+    count = 0
+    for g in itertools.chain(_upper_cases(), products()):
+        c = upper_domination_number(g)
+        value, wit = upper_domination_exhaustive(g)
+        digest.update(f"{c.value} {c.witness.members()} {value} {wit.members()}\n".encode())
+        count += 1
+    assert count == 223
+    assert digest.hexdigest() == "be6ac24054133b4df46833e45dc6faf0915d779d1639f1c658b64447bc1e8e9d"
 
 
 # Direct products of order 14..16 on which the disjoint-coverer bound starts
@@ -638,7 +670,7 @@ def test_upper_domination_exhaustive_cap():
 
 def _cover_cases():
     """(name, cover list, full): the closed and open covers of seeded random
-    graphs, and the shapes where extension prunes least (complete graphs,
+    graphs, and the shapes where the walk prunes least (complete graphs,
     where every single vertex is already a cover, and stars) or most (rook
     graphs, with many small irredundant sets that are not covers)."""
     rng = random.Random(97)
@@ -664,7 +696,7 @@ def test_minimal_covers_match_the_all_subsets_oracle():
     cases = list(_cover_cases())
     assert len(cases) == 63
     for name, cover, full in cases:
-        assert _minimal_covers(cover, full) == brute_minimal_covers(cover, full), name
+        assert _irredundant_walk(cover, full, {}) == brute_minimal_covers(cover, full), name
 
 
 def test_minimal_total_sizes():

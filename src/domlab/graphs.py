@@ -19,9 +19,10 @@ EDGE_CAP = 1_000_000  # edges of constructed and read graphs: at most 12 MB of e
 # a line break, so the reader's working memory stays bounded by the slice.
 _SLICE_CHARS = 1 << 16
 
-# A run of well-formed edge lines. Indices below ORDER_CAP have at most five
-# digits; a longer number fails the match, and the line-by-line path words it.
-_EDGE_LINES = re.compile(r"(?:(?:0|[1-9][0-9]{0,4}) (?:0|[1-9][0-9]{0,4})\n)*")
+# A run of well-formed edge lines, but for leading zeros, which JSON's
+# grammar rejects. Indices below ORDER_CAP have at most five digits; a
+# longer number fails the match, and the line-by-line path words it.
+_EDGE_LINES = re.compile(r"(?:[0-9]{1,5} [0-9]{1,5}\n)*")
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")  # binary digits to 0/1 selectors
 
@@ -233,7 +234,7 @@ def connected_components(g: Graph) -> list[int]:
 
 
 def has_isolated_vertex(g: Graph) -> bool:
-    return any(row == 0 for row in g.adj)
+    return 0 in g.adj
 
 
 def induced_subgraph(g: Graph, s: VertexSet):
@@ -335,6 +336,19 @@ def _edge_error(us, vs, n: int, last: int):
         last = u * n + v
 
 
+def _edge_numbers(chunk: str):
+    """The numbers of a slice of well-formed edge lines in order, or None
+    when the slice is not one: it fails the shape match, or JSON rejects a
+    leading zero. The slice then goes line by line, which words the error."""
+    if not _EDGE_LINES.fullmatch(chunk):
+        return None
+    # only digits, single spaces and line breaks: a JSON list of ints
+    try:
+        return json.loads("[" + chunk[:-1].replace(" ", ",").replace("\n", ",") + "]")
+    except ValueError:
+        return None
+
+
 def read_graph_header(text: str):
     """(n, m, end) from the comment lines and the 'n m' header line that open
     graph text, end the index just past the header; raises as
@@ -377,9 +391,8 @@ def read_graph_text(text: str) -> Graph:
         pos = end
         if not chunk.endswith("\n"):
             chunk += "\n"
-        if _EDGE_LINES.fullmatch(chunk):
-            # only digits, single spaces and line breaks: a JSON list of ints
-            nums = json.loads("[" + chunk[:-1].replace(" ", ",").replace("\n", ",") + "]")
+        nums = _edge_numbers(chunk)
+        if nums is not None:
             us, vs = nums[::2], nums[1::2]
         else:
             lines = chunk[:-1].split("\n")

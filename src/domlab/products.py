@@ -46,34 +46,43 @@ def _pair_label(tag: str, g: Graph, h: Graph) -> str:
     return ""
 
 
+def _spread(g: Graph, nh: int) -> list[int]:
+    """spread[a] sets bit a2 * nh for each neighbor a2 of a: one bit per
+    column of the product that a's rows reach."""
+    spread = []
+    for row in g.adj:
+        s = 0
+        while row:
+            low = row & -row
+            row ^= low
+            s |= 1 << (low.bit_length() - 1) * nh
+        spread.append(s)
+    return spread
+
+
 def direct_product(g: Graph, h: Graph):
-    """(a,b) ~ (a2,b2) iff a ~ a2 and b ~ b2; returns (graph, index map)."""
+    """(a,b) ~ (a2,b2) iff a ~ a2 and b ~ b2; returns (graph, index map).
+
+    Row (a, b) is h's row b copied at the offset of each neighbor column of
+    a (Weichsel, The Kronecker product of graphs, 1962): h.adj[b] times
+    spread[a]. Each copy fits in its nh bits, so the shifted copies never
+    overlap and the product is their OR, built by one multiplication."""
     _cap_check(g.n * h.n, "direct product")
-    nh = h.n
-    rows = []
-    for a in range(g.n):
-        nbrs_a = bit_indices(g.adj[a])
-        for b in range(nh):
-            hrow = h.adj[b]
-            row = 0
-            for a2 in nbrs_a:
-                row |= hrow << (a2 * nh)
-            rows.append(row)
-    return Graph.from_rows(rows, _pair_label("direct", g, h)), ProductIndexMap(g.n, nh)
+    rows = [hrow * s for s in _spread(g, h.n) for hrow in h.adj]
+    return Graph.from_rows(rows, _pair_label("direct", g, h)), ProductIndexMap(g.n, h.n)
 
 
 def cartesian_product(g: Graph, h: Graph):
-    """(a,b) ~ (a2,b2) iff coordinates agree on one side and are adjacent on the other."""
+    """(a,b) ~ (a2,b2) iff coordinates agree on one side and are adjacent on
+    the other: row (a, b) is h's row b in column a plus bit b of each
+    neighbor column of a (spread[a] << b)."""
     _cap_check(g.n * h.n, "cartesian product")
     nh = h.n
-    rows = []
-    for a in range(g.n):
-        nbrs_a = bit_indices(g.adj[a])
-        for b in range(nh):
-            row = h.adj[b] << (a * nh)
-            for a2 in nbrs_a:
-                row |= 1 << (a2 * nh + b)
-            rows.append(row)
+    rows = [
+        (hrow << a * nh) | (s << b)
+        for a, s in enumerate(_spread(g, nh))
+        for b, hrow in enumerate(h.adj)
+    ]
     return Graph.from_rows(rows, _pair_label("cartesian", g, h)), ProductIndexMap(g.n, nh)
 
 

@@ -16,22 +16,25 @@ exactly when its bounds meet, lo == hi, whichever way the search ended.
 
 The minimum side is one deepening cover search over elements with pairwise
 disjointness: vertices with closed covers for gamma and open covers for
-gamma_t, edges covering both closed neighborhoods for gamma_pr. Each
-vertex's coverers are one mask over element indices, and the vertices are
-grouped into levels, one mask per coverer count. The greedy less its
-redundant picks gives the upper end, the larger of a counting bound and the
-root's disjoint-coverer count the lower end, and the search tries each size
-in between. It branches on the lowest uncovered vertex of the lowest level,
-and each child also blocks its lower siblings, so each pick set is reached
-once. A node is pruned when the picks left cannot finish the cover by either
-of two bounds: counting (no pick covers more than the largest cover), or
-disjoint coverers (uncovered vertices whose coverer sets are pairwise
-disjoint each need a pick of their own). The second walks the levels, and
-each vertex it counts clears its conflict mask, the vertices whose coverers
-meet its own, so it loops once per vertex counted. It is skipped where a cap
-computed from the coverer counts shows it cannot prune, and at the last
-pick, which one AND of coverer masks settles while still counting one node
-per free coverer tried. The maximum side walks the irredundant sets (each
+gamma_t, edges covering both closed neighborhoods for gamma_pr. Elements
+carry their covers and, for edges, their two ends, which is all the greedy
+needs to keep its picks disjoint. The greedy less its redundant picks gives
+the upper end, the larger of a counting bound and the root's disjoint-coverer
+count the lower end, and the search tries each size in between. Only when a
+size is left to try are the search's tables built: what each pick blocks,
+and each vertex's coverers as one mask over element indices, the vertices
+grouped into levels, one mask per coverer count. The search branches on
+the lowest uncovered vertex of the lowest level, and each child also blocks
+its lower siblings, so each pick set is reached once. A node is pruned
+when the picks left cannot finish the cover by either of two bounds:
+counting (no pick covers more than the largest cover), or disjoint coverers
+(uncovered vertices whose coverer sets are pairwise disjoint each need a
+pick of their own). The second walks the levels, and each vertex it counts
+clears its conflict mask, the vertices whose coverers meet its own, so it
+loops once per vertex counted. It is skipped where a cap computed from the
+coverer counts shows it cannot prune, and at the last pick, which one AND of
+coverer masks settles while still counting one node per free coverer tried.
+The maximum side walks the irredundant sets (each
 member covers a vertex no other member covers) once, passing the cover
 masks and the addable candidates from parent to child: upper_gamma with a
 floor that starts at the minimalized greedy, and with no floor and no
@@ -250,43 +253,58 @@ def _solve(g, parameter, solve_part, check, budget=None, k=None) -> Certificate:
 #
 # An element is a vertex (gamma: its closed neighborhood, gamma_t: its open
 # one), indexed by itself, or an edge of the component in lexicographic order
-# (gamma_pr: both closed neighborhoods). cov[i] is its cover, blk[i] masks
-# the elements picking it blocks (picks share no vertex), cm[y] the coverers
-# of vertex y. Covers are symmetric: a vertex's coverers are its own cover,
-# and a picked vertex blocks nothing, as it covers no uncovered vertex again.
+# (gamma_pr: both closed neighborhoods). A component's elements are (cov,
+# ends, edges): cov[i] is element i's cover, ends[i] masks edge i's two ends
+# (picks share no vertex) and edges lists the edges. Vertex elements have no
+# ends and no edges (None): a picked vertex covers no uncovered vertex again,
+# so nothing blocks it. The search's tables (_search_tables), built only when
+# the search runs, are blk[i], the elements picking i blocks, and cm[y], the
+# coverers of vertex y. Covers are symmetric: a vertex's coverers are its own
+# cover.
 
 
 def _vertex_elements(g: Graph, open_nbh: bool):
-    """(cov, blk, cm, None) for the vertex elements of all of g."""
+    """(cov, None, None) for the vertex elements of all of g."""
     cov = g.adj if open_nbh else [row | 1 << v for v, row in enumerate(g.adj)]
-    return cov, [0] * g.n, cov, None
+    return cov, None, None
 
 
-def _edge_elements(g: Graph, comp: int, inc, cm):
-    """(cov, blk, cm, edges) for the edges of component comp. inc[x] masks the
-    edges at x, (u, v) blocks inc[u] | inc[v], and y's coverers, the edges
-    with an end in N[y], are those y's edges block. inc and cm are rows over
-    g, zero until the component of their vertex fills them."""
+def _edge_elements(g: Graph, comp: int):
+    """(cov, ends, edges) for the edges of component comp."""
     adj = g.adj
     edges = []
     for u in bit_indices(comp):
         above = adj[u] >> u + 1
         while above:
-            v = u + (above & -above).bit_length()
-            above &= above - 1
-            inc[u] |= 1 << len(edges)
-            inc[v] |= 1 << len(edges)
-            edges.append((u, v))
+            low = above & -above
+            above ^= low
+            edges.append((u, u + low.bit_length()))
+    return [adj[u] | adj[v] for u, v in edges], [1 << u | 1 << v for u, v in edges], edges
+
+
+def _search_tables(cov, edges, span: int):
+    """(blk, cm) for the cover search over the elements cov, on vertices
+    below span. inc[x] masks the edges at x, (u, v) blocks inc[u] | inc[v],
+    and y's coverers, the edges with an end in N[y], are those y's edges
+    block."""
+    if edges is None:
+        return [0] * len(cov), cov
+    inc = [0] * span
+    for j, (u, v) in enumerate(edges):
+        inc[u] |= 1 << j
+        inc[v] |= 1 << j
     blk = [inc[u] | inc[v] for u, v in edges]
+    cm = [0] * span
     for (u, v), b in zip(edges, blk):
         cm[u] |= b
         cm[v] |= b
-    return [adj[u] | adj[v] for u, v in edges], blk, cm, edges
+    return blk, cm
 
 
-def _greedy(cov, blk, elems, full: int):
+def _greedy(cov, ends, elems, full: int):
     """Indices of disjoint elements among elems, picked by largest gain,
-    lowest index on ties, until full is covered.
+    lowest index on ties, until full is covered; an element whose ends meet
+    the vertices already picked is skipped (ends None: nothing is).
 
     Disjointness never blocks it on an isolated-free graph (any graph for
     closed covers): an uncovered vertex u has no picked vertex in N[u], so u
@@ -294,7 +312,7 @@ def _greedy(cov, blk, elems, full: int):
     element; a neighbor of u is free as an open element covering u (the
     maximal-matching argument of Haynes & Slater, Paired-domination in
     graphs, 1998)."""
-    covered = blocked = 0
+    covered = used = 0
     picks = []
     while covered != full:
         unc = full & ~covered
@@ -302,12 +320,13 @@ def _greedy(cov, blk, elems, full: int):
         best_gain = 0
         for i in elems:
             gain = (cov[i] & unc).bit_count()
-            if gain > best_gain and not blocked >> i & 1:
+            if gain > best_gain and not (ends and ends[i] & used):
                 best_gain = gain
                 best_i = i
         ensure(best_i >= 0, "greedy cover found no free element with a gain")
         covered |= cov[best_i]
-        blocked |= blk[best_i]
+        if ends:
+            used |= ends[best_i]
         picks.append(best_i)
     return picks
 
@@ -446,20 +465,23 @@ def _minimalize(cov, picks, full: int) -> list:
     return kept
 
 
-def _min_cover(comp: int, cov, blk, cm, edges, tracker) -> _Part:
+def _min_cover(comp: int, cov, ends, edges, tracker) -> _Part:
     """Fewest disjoint elements covering component comp (exact unless the
     budget ends it); sizes in vertices, picked edges pair them. The greedy
     less its redundant picks (_minimalize) is the upper end and the witness
     unless a smaller cover is found. Deepening starts at the larger of the
-    counting bound and root_need, so a budget hit's lo is at least that."""
+    counting bound and root_need, so a budget hit's lo is at least that. The
+    greedy needs only the covers and ends, so the search's tables are built
+    only when the counting bound leaves a size to try."""
     elems = bit_indices(comp) if edges is None else range(len(edges))
-    picks = _greedy(cov, blk, elems, comp)
-    maxcov = max(cov[i].bit_count() for i in elems)
+    picks = _greedy(cov, ends, elems, comp)
+    maxcov = max(map(int.bit_count, map(cov.__getitem__, elems)))
     lb = max(1, -(-comp.bit_count() // maxcov))
     if lb < len(picks):
         picks = _minimalize(cov, picks, comp)
     lo = top = len(picks)
     if lb < top:
+        blk, cm = _search_tables(cov, edges, comp.bit_length())
         search, root_need = _cover_search(cov, blk, cm, comp, len(elems), maxcov, tracker)
         for size in range(max(lb, root_need), top):
             try:
@@ -508,10 +530,9 @@ def paired_domination_number(g: Graph, budget: Budget | None = None) -> Certific
     domination are re-checked on the result."""
     if has_isolated_vertex(g):
         raise DomainError("paired domination undefined with isolated vertices")
-    inc, cm = [0] * g.n, [0] * g.n
     return _solve(
         g, "gamma_pr",
-        lambda comp, tracker: _min_cover(comp, *_edge_elements(g, comp, inc, cm), tracker),
+        lambda comp, tracker: _min_cover(comp, *_edge_elements(g, comp), tracker),
         lambda cert: pairing_is_valid(g, cert.witness, cert.pairing)
         and is_dominating(g, cert.witness),
         budget,
@@ -607,9 +628,9 @@ def _upper_component(g: Graph, comp: int, elements, tracker) -> _Part:
     outside D; if none has, D is independent and any member u has N(u)
     outside D; either way |V - D| >= deg(u). It is only the budget-hit hi
     and skips the walk when the greedy meets it, so it moves no witness."""
-    closed, blk, _, _ = elements
+    closed = elements[0]
     verts = bit_indices(comp)
-    best_bits = bits_of(_minimalize(closed, _greedy(closed, blk, verts, comp), comp))
+    best_bits = bits_of(_minimalize(closed, _greedy(closed, None, verts, comp), comp))
     best = best_bits.bit_count()
     top = len(verts) - min(g.adj[v].bit_count() for v in verts)
     found = {best: best_bits}

@@ -88,6 +88,24 @@ def brute_tree_form(n, edges):
     return best, auts
 
 
+def brute_product_edges(g, h, cartesian):
+    """Edges of the direct or Cartesian product of g and h in row-major
+    labels, straight from the definitions over all pairs of vertex pairs."""
+    out = set()
+    for a in range(g.n):
+        for b in range(h.n):
+            for c in range(g.n):
+                for d in range(h.n):
+                    ga, hb = g.adj[a] >> c & 1, h.adj[b] >> d & 1
+                    if cartesian:
+                        adjacent = (a == c and hb) or (b == d and ga)
+                    else:
+                        adjacent = ga and hb
+                    if adjacent:
+                        out.add((a * h.n + b, c * h.n + d))
+    return out
+
+
 def _subset_has_pm(g, mask):
     if mask == 0:
         return True

@@ -4,7 +4,10 @@ import random
 
 import pytest
 
+from oracles import brute_product_edges
+
 from domlab.graphs import (
+    Graph,
     ResourceError,
     bits_of,
     closed_cover_bits,
@@ -55,6 +58,21 @@ def test_cartesian_product_adjacency_definition():
             c, d = rng.randrange(g.n), rng.randrange(h.n)
             want = (a == c and h.has_edge(b, d)) or (b == d and g.has_edge(a, c))
             assert gp.has_edge(imap.index(a, b), imap.index(c, d)) == want
+
+
+def test_products_match_the_edge_definition_oracle():
+    # Every row against the definitions, on seeded pairs that include order-1
+    # factors, edgeless factors and factors with isolated vertices.
+    rng = random.Random(47)
+    factors = [Graph(1), Graph(3), Graph(3, [(0, 2)]), complete(2)]
+    factors += [random_graph(rng.randrange(1, 7), rng.choice([0.2, 0.5, 0.9]), 500 + i) for i in range(16)]
+    for g in factors:
+        for h in rng.sample(factors, 6) + [Graph(1)]:
+            for build, cartesian in ((direct_product, False), (cartesian_product, True)):
+                gp, _ = build(g, h)
+                gp.check_valid()
+                edges = {(u, v) for u in range(gp.n) for v in range(gp.n) if gp.adj[u] >> v & 1}
+                assert (gp.n, edges) == (g.n * h.n, brute_product_edges(g, h, cartesian))
 
 
 def test_multiway_matches_direct_for_two_factors():
@@ -166,8 +184,6 @@ def test_rook_corner_class_dominates():
 
 
 def test_products_allow_isolated_factor_vertices():
-    from domlab.graphs import Graph
-
     g = Graph(3, [(0, 1)])  # vertex 2 isolated
     gp, _ = direct_product(g, complete(3))
     assert gp.n == 9

@@ -51,7 +51,7 @@ from domlab.families import (
 )
 from domlab.products import direct_product, multiway_direct_complete, product_pairing_is_valid
 from domlab.matching import has_perfect_matching
-from domlab.claims import appended_path_paired_witness
+from domlab.claims import appended_path_paired_witness, distinct_trees, ratio_scan
 from domlab.solvers import (
     Budget,
     _clique_partition,
@@ -595,17 +595,47 @@ def test_greedy_cover_never_blocks_on_isolated_free_graphs():
         if has_isolated_vertex(g):
             continue
         full = g.full_bits()
-        rows = ([0] * g.n, [0] * g.n)
-        for cov, blk, _, edges in (
-            _vertex_elements(g, False), _vertex_elements(g, True), _edge_elements(g, full, *rows)
+        for cov, ends, edges in (
+            _vertex_elements(g, False), _vertex_elements(g, True), _edge_elements(g, full)
         ):
-            ends = [(v,) for v in range(g.n)] if edges is None else edges
+            picked = [(v,) for v in range(g.n)] if edges is None else edges
             covered = used = 0
-            for e in _greedy(cov, blk, range(len(ends)), full):
-                assert not used & bits_of(ends[e])
-                used |= bits_of(ends[e])
+            for e in _greedy(cov, ends, range(len(picked)), full):
+                assert not used & bits_of(picked[e])
+                used |= bits_of(picked[e])
                 covered |= cov[e]
             assert covered == full
+
+
+def _tree_scan_pairs():
+    trees = distinct_trees(2, 7)
+    return trees, [(trees[i], trees[j]) for i in range(len(trees)) for j in range(i, len(trees))]
+
+
+def test_search_tables_are_built_only_when_the_search_runs(monkeypatch):
+    # Over the order-2..7 tree scan the blocking and coverer tables are built
+    # once per cover search: 181 times, of 624 components; a product the
+    # greedy settles builds none.
+    calls = []
+    build = domlab.solvers._search_tables
+    monkeypatch.setattr(domlab.solvers, "_search_tables", lambda *args: calls.append(1) or build(*args))
+    ratio_scan(_tree_scan_pairs()[1])
+    assert len(calls) == 181
+    calls.clear()
+    c = paired_domination_number(direct_product(path(4), path(5))[0])
+    assert (c.value, c.nodes, len(calls)) == (8, 0, 0)
+
+
+def test_tree_scan_paired_certificates_pinned():
+    # gamma_pr of the 24 trees of orders 2..7 and their 300 direct products:
+    # bounds, witness bits, pairing and node counts in one hash, so a change
+    # that moves any pick, witness or node count of the tree scan shows here.
+    trees, pairs = _tree_scan_pairs()
+    digest = hashlib.sha256()
+    for g in trees + [direct_product(a, b)[0] for a, b in pairs]:
+        c = paired_domination_number(g)
+        digest.update(repr((c.lo, c.hi, c.witness.bits, c.pairing, c.nodes)).encode())
+    assert digest.hexdigest() == "b57149efffd5075f007ec7839c7bbf43944ef04845f8de09862688db1a07b0a3"
 
 
 def test_corrupt_component_result_raises_under_O():

@@ -5,10 +5,11 @@ checks use.
 Every report is self-certifying: a verified status embeds witnesses that pass
 the checker predicates again, a refuted one carries a concrete counterexample,
 and bounds-only reports state which side of the value is certified. Each check
-fills its report through one _ReportBuilder, whose status is the worst outcome
-recorded: refuted, then skipped-resource, then bounds-only, then verified. An
-instance the default budget leaves unsettled is recorded as skipped-resource
-by settled(), so it can neither raise nor mask a refutation found earlier.
+builds its ClaimReport, fills it in place and finishes it; its status is the
+worst outcome recorded: refuted, then skipped-resource, then bounds-only, then
+verified. An instance the default budget leaves unsettled is recorded as
+skipped-resource by settled(), so it can neither raise nor mask a refutation
+found earlier.
 Randomized checks derive all instance seeds from the suite seed, so two runs
 with the same seed produce identical reports.
 """
@@ -16,7 +17,6 @@ with the same seed produce identical reports.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from itertools import product as iter_product
 
 from .families import (
@@ -46,7 +46,7 @@ from .products import (
     product_pairing_is_valid,
 )
 from .solvers import (
-    Budget,
+    DEFAULT_NODE_BUDGET,
     domination_number,
     independence_number,
     is_dominating,
@@ -57,7 +57,6 @@ from .solvers import (
     packing_number,
     paired_domination_number,
     pairing_is_valid,
-    private_neighbors,
     upper_domination_exhaustive,
     upper_domination_number,
 )
@@ -72,16 +71,44 @@ SKIPPED = "skipped-resource"
 TREE_ORDER_CAP = 12
 
 
-@dataclass
-class ClaimReport:
-    """Outcome of one named check."""
+# statuses from best to worst; a report keeps the worst one recorded
+_SEVERITY = (VERIFIED, BOUNDS_ONLY, SKIPPED, REFUTED)
 
-    claim_id: str
-    status: str
-    values: dict = field(default_factory=dict)
-    witnesses: dict = field(default_factory=dict)
-    runtime_ms: int = 0
-    notes: str = ""
+
+class ClaimReport:
+    """Outcome of one named check, filled in place while the check runs:
+    values and witnesses directly, outcomes through record(), which keeps
+    the worst status, and notes, joined with "; ", through record() or
+    note(); finish() stamps the runtime since construction."""
+
+    def __init__(self, claim_id: str):
+        self.claim_id = claim_id
+        self.status = VERIFIED
+        self.values = {}
+        self.witnesses = {}
+        self.runtime_ms = 0
+        self.notes = ""
+        self._started = time.monotonic()
+
+    def record(self, status: str, note: str) -> None:
+        if _SEVERITY.index(status) > _SEVERITY.index(self.status):
+            self.status = status
+        self.note(note)
+
+    def note(self, text: str) -> None:
+        self.notes = f"{self.notes}; {text}" if self.notes else text
+
+    def settled(self, label: str, *certs) -> bool:
+        """True when every certificate is exact; otherwise records the
+        instance label as skipped-resource and returns False."""
+        if all(c.exact for c in certs):
+            return True
+        self.record(SKIPPED, f"{label}: budget exhausted")
+        return False
+
+    def finish(self) -> ClaimReport:
+        self.runtime_ms = int((time.monotonic() - self._started) * 1000)
+        return self
 
     def to_dict(self, include_timings: bool = False) -> dict:
         # timings are zeroed by default so report files are run-to-run stable
@@ -93,44 +120,6 @@ class ClaimReport:
             "runtime_ms": self.runtime_ms if include_timings else 0,
             "notes": self.notes,
         }
-
-
-# statuses from best to worst; a report keeps the worst one recorded
-_SEVERITY = (VERIFIED, BOUNDS_ONLY, SKIPPED, REFUTED)
-
-
-class _ReportBuilder:
-    """One claim's report while its check runs: values, witnesses and notes
-    are filled in place, outcomes go through record(), and report() stamps
-    the runtime since construction."""
-
-    def __init__(self, claim_id: str):
-        self.claim_id = claim_id
-        self.values = {}
-        self.witnesses = {}
-        self.notes = []
-        self._worst = 0
-        self._started = time.monotonic()
-
-    def record(self, status: str, note: str) -> None:
-        self._worst = max(self._worst, _SEVERITY.index(status))
-        if note:
-            self.notes.append(note)
-
-    def settled(self, label: str, *certs) -> bool:
-        """True when every certificate is exact; otherwise records the
-        instance label as skipped-resource and returns False."""
-        if all(c.exact for c in certs):
-            return True
-        self.record(SKIPPED, f"{label}: budget exhausted")
-        return False
-
-    def report(self) -> ClaimReport:
-        ms = int((time.monotonic() - self._started) * 1000)
-        return ClaimReport(
-            self.claim_id, _SEVERITY[self._worst], self.values, self.witnesses,
-            ms, "; ".join(self.notes),
-        )
 
 
 def _orders_key(orders):
@@ -213,7 +202,7 @@ def check_complete_products_domination(order_lists=((4, 4, 4), (5, 4, 4))) -> Cl
     The new tuple lies outside the d_k and still agrees with each d_i: with
     d_i (i != j) in coordinate i, and with d_j in every other coordinate
     (t >= 2). So no t vertices dominate, gamma >= t+1, and gamma_t >= gamma."""
-    rep = _ReportBuilder("complete-products-domination")
+    rep = ClaimReport("complete-products-domination")
     for orders in order_lists:
         t = len(orders)
         key = _orders_key(orders)
@@ -226,7 +215,7 @@ def check_complete_products_domination(order_lists=((4, 4, 4), (5, 4, 4))) -> Cl
         rep.values[f"gamma[{key}]"] = t + 1
         rep.values[f"gamma_t[{key}]"] = t + 1
         rep.witnesses[f"gamma[{key}]"] = _members(diag)
-    return rep.report()
+    return rep.finish()
 
 
 def check_complete_products_paired(order_lists=((4, 4, 4), (7, 7, 7), (5, 5, 5, 5))) -> ClaimReport:
@@ -236,7 +225,7 @@ def check_complete_products_paired(order_lists=((4, 4, 4), (7, 7, 7), (5, 5, 5, 
     gamma_t >= t+1 (see check_complete_products_domination), since a paired
     dominating set is total dominating and of even size. A witness larger
     than the lower end leaves the instance bounds-only."""
-    rep = _ReportBuilder("complete-products-paired")
+    rep = ClaimReport("complete-products-paired")
     for orders in order_lists:
         t = len(orders)
         key = _orders_key(orders)
@@ -256,14 +245,14 @@ def check_complete_products_paired(order_lists=((4, 4, 4), (7, 7, 7), (5, 5, 5, 
             rep.record(BOUNDS_ONLY, f"[{key}]: the witness has {len(diag)} vertices, the lower end {lo}")
             continue
         rep.values[f"gamma_pr[{key}]"] = lo
-    rep.notes.append(
+    rep.note(
         "each lower end is the escape-vertex lemma: for any t vertices d_1..d_t, "
         "the tuple x with x_i = (d_i)_i agrees with each d_i in coordinate i, so no "
         "d_i is adjacent to x and gamma_t >= t+1; a paired dominating set is total "
         "dominating and even, so gamma_pr is at least t+1 rounded up to even, the "
         "diagonal witness size"
     )
-    return rep.report()
+    return rep.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +263,7 @@ def check_pendant_extension_bound(cases=None) -> ClaimReport:
     """Adding a pendant vertex to one factor at v raises the product's paired
     domination number to at most twice (old product value + pendant-side value);
     the constructive dominating set behind the bound is validated as well."""
-    rep = _ReportBuilder("pendant-extension-bound")
+    rep = ClaimReport("pendant-extension-bound")
     if cases is None:
         cases = (
             ("P4,P4@3", path(4), path(4), 3),
@@ -307,12 +296,12 @@ def check_pendant_extension_bound(cases=None) -> ClaimReport:
             rep.record(REFUTED, f"{label}: construction does not dominate")
         elif len(built) > base.value + side.value:
             rep.record(REFUTED, f"{label}: construction larger than |D|+|D_H|")
-    return rep.report()
+    return rep.finish()
 
 
 def check_appended_path_monotonicity(cases=None) -> ClaimReport:
     """Appending a path never lowers the paired domination number."""
-    rep = _ReportBuilder("appended-path-monotonicity")
+    rep = ClaimReport("appended-path-monotonicity")
     if cases is None:
         cases = (
             ("K6+2", complete(6), 2, 0),
@@ -332,7 +321,7 @@ def check_appended_path_monotonicity(cases=None) -> ClaimReport:
             rep.record(REFUTED, f"{label}: {b.value} < {a.value}")
         else:
             rep.witnesses[f"appended[{label}]"] = _members(b.witness)
-    return rep.report()
+    return rep.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +346,7 @@ def check_lollipop_product_witness(orders=(4, 4, 4), cases=((0, 0), (0, 1), (1, 
     stage is refuted."""
     if any(not {a, b} <= {0, 1} for a, b in cases):
         raise DomainError("lollipop stages (a,b) must lie in {0,1}^2")
-    rep = _ReportBuilder("lollipop-product-witness")
+    rep = ClaimReport("lollipop-product-witness")
     t = len(orders)
     base_g, diag, diag_pairs = appended_path_paired_witness(orders, 0)
     dmem = _members(diag)
@@ -413,8 +402,8 @@ def check_lollipop_product_witness(orders=(4, 4, 4), cases=((0, 0), (0, 1), (1, 
                 f"; the bound presumes factor orders of at least 2t+1 = {2 * t + 1}, "
                 f"while orders [{_orders_key(orders)}] sit below that"
             )
-        rep.notes.append(note)
-    return rep.report()
+        rep.note(note)
+    return rep.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +412,7 @@ def check_lollipop_product_witness(orders=(4, 4, 4), cases=((0, 0), (0, 1), (1, 
 
 def check_tree_paired_packing_identity(count=200, max_order=12, seed=7) -> ClaimReport:
     """Paired domination equals twice the 3-packing number on sampled trees."""
-    rep = _ReportBuilder("tree-paired-packing-identity")
+    rep = ClaimReport("tree-paired-packing-identity")
     matched = 0
     for i in range(count):
         n = 2 + (i % (max_order - 1))
@@ -442,7 +431,7 @@ def check_tree_paired_packing_identity(count=200, max_order=12, seed=7) -> Claim
             break
     rep.values["trees"] = count
     rep.values["matched"] = matched
-    return rep.report()
+    return rep.finish()
 
 
 def check_tree_product_half_bound(count=50, max_order=7, seed=7) -> ClaimReport:
@@ -450,7 +439,7 @@ def check_tree_product_half_bound(count=50, max_order=7, seed=7) -> ClaimReport:
     strictness tally feeds the open question on when the inequality is sharp.
     Each pair goes through ratio_scan on its own, so a refutation stops the
     scan."""
-    rep = _ReportBuilder("tree-product-half-bound")
+    rep = ClaimReport("tree-product-half-bound")
     strict = 0
     min_ratio = None
     for i in range(count):
@@ -478,8 +467,8 @@ def check_tree_product_half_bound(count=50, max_order=7, seed=7) -> ClaimReport:
     rep.values["strict"] = strict
     if min_ratio is not None:
         rep.values["min_ratio"] = min_ratio
-    rep.notes.append(f"strict inequality in {strict} of {count} sampled pairs")
-    return rep.report()
+    rep.note(f"strict inequality in {strict} of {count} sampled pairs")
+    return rep.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +480,7 @@ def check_pendant_pairs_embedding() -> ClaimReport:
     rho_3 = n, and the product of two such graphs satisfies the half bound;
     the 27-vertex instance is solved exactly, the 180-vertex one by a
     certified packing bound."""
-    rep = _ReportBuilder("pendant-pairs-embedding")
+    rep = ClaimReport("pendant-pairs-embedding")
 
     def exact_case(label, g_base, h_base):
         gp = pendant_pairs(g_base)
@@ -527,7 +516,7 @@ def check_pendant_pairs_embedding() -> ClaimReport:
 
     exact_case("K1,K3", complete(1), complete(3))
     exact_case("K1,K1", complete(1), complete(1))
-    rep.notes.append(
+    rep.note(
         "at [K1,K3] the value 12 equals gamma_pr of the product while plain "
         "gamma is 8; a literal chain gamma_pr = rho_3 = n cannot hold since "
         "gamma_pr is even and at least 2 rho_3, so the two-step form "
@@ -541,7 +530,7 @@ def check_pendant_pairs_embedding() -> ClaimReport:
     rg = packing_number(gp, 3)
     rh = packing_number(hp, 3)
     if not rep.settled("P4,C5", cg, ch, rg, rh):
-        return rep.report()
+        return rep.finish()
     rep.values["gamma_pr_left[P4,C5]"] = cg.value
     rep.values["gamma_pr_right[P4,C5]"] = ch.value
     if not (
@@ -558,7 +547,7 @@ def check_pendant_pairs_embedding() -> ClaimReport:
     pvs = VertexSet(prod, bits_of(packing))
     if not is_k_packing(prod, pvs, 3):
         rep.record(REFUTED, "P4,C5: product of 3-packings is not a 3-packing here")
-        return rep.report()
+        return rep.finish()
     lower = 2 * len(packing)
     rhs = cg.value * ch.value
     rep.values["rho3_product_lower[P4,C5]"] = len(packing)
@@ -568,12 +557,12 @@ def check_pendant_pairs_embedding() -> ClaimReport:
     if 2 * lower < rhs:
         rep.record(REFUTED, "P4,C5: certified lower bound misses the half bound")
     else:
-        rep.notes.append(
+        rep.note(
             "P4,C5: the 180-vertex product is not solved exactly; the "
             "validated 3-packing of size 20 certifies gamma_pr >= 40 through "
             "the doubling bound, which meets the half bound exactly"
         )
-    return rep.report()
+    return rep.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +573,7 @@ def check_rook_upper_domination() -> ClaimReport:
     """Structure of the 2xn rook graph and its square: upper domination n,
     independence 2, minimal total dominating sizes within {2,4,n}, and the
     corner class of the product certifying an n^2 lower bound."""
-    rep = _ReportBuilder("rook-upper-domination")
+    rep = ClaimReport("rook-upper-domination")
     for n in range(2, 9):
         g = rook2xn(n)
         uc = upper_domination_number(g)
@@ -614,11 +603,16 @@ def check_rook_upper_domination() -> ClaimReport:
         if n == 3:
             rep.witnesses["corner[3]"] = sorted(corner)
         if 3 <= n <= 8:
+            # a member's private vertices are those of N[v] not covered twice
+            once = twice = 0
+            for v in corner:
+                nv = prod.closed(v)
+                twice |= once & nv
+                once |= nv
             for b in range(n):
                 for d in range(n):
-                    mirror = imap.index(n + b, n + d)
-                    priv = private_neighbors(prod, cvs, imap.index(b, d))
-                    if mirror not in priv:
+                    private = prod.closed(imap.index(b, d)) & ~twice
+                    if not private >> imap.index(n + b, n + d) & 1:
                         rep.record(REFUTED, f"n={n}: ({b},{d}) lacks its mirrored private neighbor")
     prod2, _ = direct_product(rook2xn(2), rook2xn(2))
     exh_val, exh_wit = upper_domination_exhaustive(prod2)
@@ -636,12 +630,12 @@ def check_rook_upper_domination() -> ClaimReport:
         )
     rep.values["product_upper_exhaustive[2]"] = exh_val
     rep.witnesses["product_upper[2]"] = _members(exh_wit)
-    rep.notes.append(
+    rep.note(
         f"exhaustive upper domination of the n=2 square product is {exh_val}; "
         "the corner-class lower bound there is 4, so the certified bound is "
         "not tight at this size"
     )
-    return rep.report()
+    return rep.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +644,7 @@ def check_rook_upper_domination() -> ClaimReport:
 
 def check_product_additive_domination(count=100, max_order=8, seed=7) -> ClaimReport:
     """gamma(G x H) >= gamma(G) + gamma(H) - 1 on seeded random pairs."""
-    rep = _ReportBuilder("product-additive-domination")
+    rep = ClaimReport("product-additive-domination")
     min_slack = None
     for i in range(count):
         n1 = 3 + (i % (max_order - 2))
@@ -673,14 +667,14 @@ def check_product_additive_domination(count=100, max_order=8, seed=7) -> ClaimRe
     rep.values["pairs"] = count
     if min_slack is not None:
         rep.values["min_slack"] = min_slack
-    return rep.report()
+    return rep.finish()
 
 
 # ---------------------------------------------------------------------------
 # ratio scanning
 
 
-def ratio_scan(pairs, budget: Budget | None = None):
+def ratio_scan(pairs, budget: int = DEFAULT_NODE_BUDGET):
     """Per-pair paired-domination product ratios gamma_pr(GxH)/(gamma_pr(G)
     gamma_pr(H)); returns one ClaimReport per pair in input order. Each
     factor adjacency is solved once per call: a certificate is immutable and
@@ -696,7 +690,7 @@ def ratio_scan(pairs, budget: Budget | None = None):
         return cert
 
     for g, h in pairs:
-        rep = _ReportBuilder(f"ratio:{g.label or 'left'}|{h.label or 'right'}")
+        rep = ClaimReport(f"ratio:{g.label or 'left'}|{h.label or 'right'}")
         try:
             cg = factor(g)
             ch = factor(h)
@@ -704,7 +698,7 @@ def ratio_scan(pairs, budget: Budget | None = None):
             cp = paired_domination_number(prod, budget)
         except ResourceError as exc:
             rep.record(SKIPPED, str(exc))
-            reports.append(rep.report())
+            reports.append(rep.finish())
             continue
         if not (cg.exact and ch.exact and cp.exact):
             # over-budget instances are marked skipped; partial bounds ride along
@@ -719,14 +713,14 @@ def ratio_scan(pairs, budget: Budget | None = None):
             rep.values["gamma_pr_product"] = cp.value
             rep.values["ratio"] = round(cp.value / (cg.value * ch.value), 6)
             rep.witnesses["product_witness"] = _members(cp.witness)
-        reports.append(rep.report())
+        reports.append(rep.finish())
     return reports
 
 
 def check_subdivided_star_ratio_trend(ns=(2, 3)) -> ClaimReport:
     """Self-product ratios of subdivided stars stay above one half; the values
     for growing n are recorded as the scan input to the sharpness question."""
-    rep = _ReportBuilder("subdivided-star-ratio-trend")
+    rep = ClaimReport("subdivided-star-ratio-trend")
     ratios = []
     for n, row in zip(ns, ratio_scan([(subdivided_star(n), subdivided_star(n)) for n in ns])):
         if row.status != VERIFIED:
@@ -744,7 +738,7 @@ def check_subdivided_star_ratio_trend(ns=(2, 3)) -> ClaimReport:
         rep.values["trend_decreasing"] = 1 if all(
             ratios[i + 1] <= ratios[i] for i in range(len(ratios) - 1)
         ) else 0
-    return rep.report()
+    return rep.finish()
 
 
 # ---------------------------------------------------------------------------

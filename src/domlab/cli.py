@@ -18,7 +18,6 @@ from .graphs import read_graph_header, read_graph_text, write_graph_text
 from .products import cartesian_product, direct_product
 from .solvers import (
     DEFAULT_NODE_BUDGET,
-    Budget,
     domination_number,
     independence_number,
     packing_number,
@@ -117,7 +116,6 @@ def cmd_compute(args) -> int:
         _err("k must be at least 1")
         return EXIT_USAGE
     try:
-        budget = Budget(max_nodes=args.exact_budget)
         graphs = [_load_graph(p) for p in args.graphs]
     except (OSError, UnicodeDecodeError, FormatError, DomainError) as exc:
         _err(str(exc))
@@ -132,6 +130,7 @@ def cmd_compute(args) -> int:
         else:
             g = graphs[0]
         solve = _SOLVERS[args.param]
+        budget = args.exact_budget
         cert = solve(g, args.k, budget) if args.param == "rho_k" else solve(g, budget)
     except (DomainError, ResourceError) as exc:
         _err(str(exc))
@@ -225,7 +224,6 @@ def cmd_scan(args) -> int:
         _err("min-n larger than max-n")
         return EXIT_USAGE
     try:
-        budget = Budget(max_nodes=args.exact_budget)
         pairs = _scan_pairs(args)
     except (FormatError, DomainError) as exc:
         _err(str(exc))
@@ -242,7 +240,7 @@ def cmd_scan(args) -> int:
         return EXIT_GUARD
     if args.json and not _can_write(args.json):
         return EXIT_USAGE
-    reports = ratio_scan(pairs, budget)
+    reports = ratio_scan(pairs, args.exact_budget)
     lo = hi = None
     for rep in reports:
         if rep.status == "verified":
@@ -304,4 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if getattr(args, "exact_budget", 1) < 1:
+        _err("budget needs a positive node count")
+        return EXIT_USAGE
     return args.func(args)

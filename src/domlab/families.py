@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import random
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import ORDER_CAP, DomainError, Graph, ResourceError
 from .products import cartesian_product, multiway_direct_complete
@@ -170,28 +170,35 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     return Graph(n, edges, f"random_graph:{n}:{p:g}#{seed}")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+def _random_graph_percent(n: int, pct: int, seed: int) -> Graph:
+    """random_graph with its edge probability given in percent, as specs do."""
+    if not 0 <= pct <= 100:
+        raise DomainError("random_graph edge percent must be 0..100")
+    return random_graph(n, pct / 100, seed)
+
+
+class FamilySpec(NamedTuple):
     """Declarative description of a constructed graph; see the module grammar."""
 
     family: str
     params: tuple = ()
     seed: int | None = None
-    inner: "FamilySpec | None" = None
+    inner: FamilySpec | None = None
     anchor: int | None = None
 
 
-_SEEDED = {"random_tree", "random_graph"}
-_LEAF_ARITY = {
-    "complete": 1,
-    "path": 1,
-    "cycle": 1,
-    "star": 1,
-    "subdivided_star": 1,
-    "rook2xn": 1,
-    "random_tree": 1,
-    "random_graph": 2,
+# leaf family -> (constructor, parameter count); a seeded one takes the seed last
+_LEAVES = {
+    "complete": (complete, 1),
+    "path": (path, 1),
+    "cycle": (cycle, 1),
+    "star": (star, 1),
+    "subdivided_star": (subdivided_star, 1),
+    "rook2xn": (rook2xn, 1),
+    "random_tree": (random_tree, 1),
+    "random_graph": (_random_graph_percent, 2),
 }
+_SEEDED = {"random_tree", "random_graph"}
 
 
 def canonical_spec(spec: FamilySpec) -> str:
@@ -278,11 +285,10 @@ def _validate(spec: FamilySpec):
     elif f == "cayleypop":
         if len(spec.params) < 2:
             raise DomainError("cayleypop needs factor orders and a tail length")
-    elif f in _LEAF_ARITY:
-        if len(spec.params) != _LEAF_ARITY[f]:
-            raise DomainError(
-                f"{f} takes {_LEAF_ARITY[f]} parameter(s), got {len(spec.params)}"
-            )
+    elif f in _LEAVES:
+        arity = _LEAVES[f][1]
+        if len(spec.params) != arity:
+            raise DomainError(f"{f} takes {arity} parameter(s), got {len(spec.params)}")
     else:
         raise DomainError(f"unknown family {f!r}")
     if (spec.seed is not None) != (f in _SEEDED):
@@ -301,27 +307,11 @@ def build_family(spec: FamilySpec) -> Graph:
         g = lollipop(g, spec.params[0], spec.anchor)
     elif f == "pendant_pairs":
         g = pendant_pairs(build_family(spec.inner))
-    elif f == "complete":
-        g = complete(spec.params[0])
-    elif f == "path":
-        g = path(spec.params[0])
-    elif f == "cycle":
-        g = cycle(spec.params[0])
-    elif f == "star":
-        g = star(spec.params[0])
-    elif f == "subdivided_star":
-        g = subdivided_star(spec.params[0])
-    elif f == "rook2xn":
-        g = rook2xn(spec.params[0])
     elif f == "complete_product":
         g = multiway_direct_complete(spec.params)
     elif f == "cayleypop":
         g = cayleypop(spec.params[:-1], spec.params[-1])
-    elif f == "random_tree":
-        g = random_tree(spec.params[0], spec.seed)
     else:
-        n, pct = spec.params
-        if not 0 <= pct <= 100:
-            raise DomainError("random_graph edge percent must be 0..100")
-        g = random_graph(n, pct / 100, spec.seed)
+        seed = () if spec.seed is None else (spec.seed,)
+        g = _LEAVES[f][0](*spec.params, *seed)
     return Graph.from_rows(g.adj, canonical_spec(spec))

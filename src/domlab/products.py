@@ -4,15 +4,15 @@ columns that hold members."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iter_product
+from typing import NamedTuple
 
 from .graphs import ORDER_CAP, DomainError, Graph, ResourceError, bit_indices, bits_of
 
 
-@dataclass(frozen=True)
-class ProductIndexMap:
-    """Row-major pairing: index(g, h) = g * right_order + h."""
+class ProductIndexMap(NamedTuple):
+    """Row-major pairing: index(g, h) = g * right_order + h (shadowing
+    tuple.index)."""
 
     left_order: int
     right_order: int

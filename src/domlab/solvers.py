@@ -46,16 +46,17 @@ partition. Both searches run on explicit stacks, so the call stack bounds
 neither depth.
 
 All tie-breaks pick the lowest vertex or edge index, so witnesses are
-deterministic. Every solver takes an explicit budget; exceeding it yields an
-interval certificate whose witness stays valid for its own bound, and one
-whose witness already meets the certified bound is exact. No solver uses
-another parameter as an internal bound, so cross-parameter inequality checks
-compare independent computations.
+deterministic. Every solver takes a budget, a plain node count
+(DEFAULT_NODE_BUDGET unless given) that one tracker checks and spends;
+exceeding it yields an interval certificate whose witness stays valid for
+its own bound, and one whose witness already meets the certified bound is
+exact. No solver uses another parameter as an internal bound, so
+cross-parameter inequality checks compare independent computations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import (
     DomainError,
@@ -80,26 +81,19 @@ DEFAULT_NODE_BUDGET = 2_000_000
 UPPER_SCAN_CAP = 20  # order cap of the exhaustive upper_gamma enumeration
 
 
-@dataclass(frozen=True)
-class Budget:
-    """Search budget: a node count, so a budget hit is deterministic."""
-
-    max_nodes: int = DEFAULT_NODE_BUDGET
-
-    def __post_init__(self):
-        if self.max_nodes < 1:
-            raise DomainError("budget needs a positive node count")
-
-
 class _BudgetExceeded(Exception):
     pass
 
 
 class _Tracker:
+    """Search nodes spent against the budget; the one place it is checked."""
+
     __slots__ = ("cap", "nodes")
 
-    def __init__(self, budget: Budget):
-        self.cap = budget.max_nodes
+    def __init__(self, budget: int):
+        if budget < 1:
+            raise DomainError("budget needs a positive node count")
+        self.cap = budget
         self.nodes = 0
 
     def tick(self):
@@ -115,8 +109,7 @@ class _Tracker:
         self.nodes += k
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Parameter result: the certified interval [lo, hi] plus a witness that
     always passes the matching checker (minimum-side witnesses certify hi,
     maximum-side witnesses certify lo). exact is derived, lo == hi, so a
@@ -220,21 +213,20 @@ def is_k_packing(g: Graph, s: VertexSet, k: int) -> bool:
 # shared solver plumbing: split into components, solve each, merge, re-check
 
 
-@dataclass
-class _Part:
+class _Part(NamedTuple):
     lo: int
     hi: int
     bits: int
     pairs: tuple = ()
 
 
-def _solve(g, parameter, solve_part, check, budget=None, k=None) -> Certificate:
+def _solve(g, parameter, solve_part, check, budget=DEFAULT_NODE_BUDGET, k=None) -> Certificate:
     """Runs solve_part(component, tracker) on each connected component of g,
     given as a vertex mask and solved in place, sums the parts' bounds into
     one certificate and re-checks it with check(certificate). Every part has
     lo <= hi, so the certificate is exact (lo == hi) exactly when each part's
     bounds meet."""
-    tracker = _Tracker(budget or Budget())
+    tracker = _Tracker(budget)
     lo = hi = bits = 0
     pairing = []
     for comp in connected_components(g):
@@ -498,7 +490,7 @@ def _min_cover(comp: int, cov, ends, edges, tracker) -> _Part:
     return _Part(2 * lo, 2 * top, bits_of(x for e in pairs for x in e), pairs)
 
 
-def domination_number(g: Graph, budget: Budget | None = None) -> Certificate:
+def domination_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> Certificate:
     """gamma: smallest dominating set."""
     elements = _vertex_elements(g, False)
     return _solve(
@@ -509,7 +501,7 @@ def domination_number(g: Graph, budget: Budget | None = None) -> Certificate:
     )
 
 
-def total_domination_number(g: Graph, budget: Budget | None = None) -> Certificate:
+def total_domination_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> Certificate:
     """gamma_t: smallest set whose open neighborhoods cover everything."""
     if has_isolated_vertex(g):
         raise DomainError("total domination undefined with isolated vertices")
@@ -522,7 +514,7 @@ def total_domination_number(g: Graph, budget: Budget | None = None) -> Certifica
     )
 
 
-def paired_domination_number(g: Graph, budget: Budget | None = None) -> Certificate:
+def paired_domination_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> Certificate:
     """gamma_pr: smallest dominating set induced by vertex-disjoint edges.
 
     Deepening is over the pair count, so only even sizes are visited and the
@@ -645,7 +637,7 @@ def _upper_component(g: Graph, comp: int, elements, tracker) -> _Part:
     return _Part(best, best, found[best])
 
 
-def upper_domination_number(g: Graph, budget: Budget | None = None) -> Certificate:
+def upper_domination_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> Certificate:
     """upper_gamma: largest minimal dominating set (the irredundant walk with
     a floor, private-vertex obligations kept incrementally)."""
     elements = _vertex_elements(g, False)
@@ -829,7 +821,7 @@ def _mis_component(g: Graph, comp: int, tracker) -> _Part:
     return _Part(best, best, best_bits)
 
 
-def packing_number(g: Graph, k: int, budget: Budget | None = None) -> Certificate:
+def packing_number(g: Graph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> Certificate:
     """rho_k: largest set with pairwise distance greater than k (maximum
     independent set of the distance-power conflict graph, whose components
     are g's own)."""
@@ -842,7 +834,7 @@ def packing_number(g: Graph, k: int, budget: Budget | None = None) -> Certificat
     )
 
 
-def independence_number(g: Graph, budget: Budget | None = None) -> Certificate:
+def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> Certificate:
     """alpha = rho_1."""
     return _solve(
         g, "alpha",

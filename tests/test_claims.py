@@ -1,6 +1,5 @@
 """Claim harness: statuses, embedded-witness re-validation, determinism."""
 
-import dataclasses
 import json
 import random
 from math import factorial, prod
@@ -19,7 +18,6 @@ from domlab.products import (
     product_pair_adjacent,
 )
 from domlab.solvers import (
-    Budget,
     domination_number,
     is_dominating,
     is_k_packing,
@@ -290,7 +288,7 @@ def test_ratio_scan_skips_products_over_the_order_cap():
 
 
 def test_ratio_scan_skips_over_budget_pairs():
-    reports = ratio_scan([(cycle(7), cycle(8))], budget=Budget(max_nodes=1000))
+    reports = ratio_scan([(cycle(7), cycle(8))], budget=1000)
     rep = reports[0]
     assert rep.status == "skipped-resource"  # over-budget rows are skipped, not guessed
     assert (rep.values["gamma_pr_product_lo"], rep.values["gamma_pr_product_hi"]) == (14, 16)
@@ -338,11 +336,11 @@ def _same(cert):
 
 
 def _wrong(cert):
-    return dataclasses.replace(cert, lo=0, hi=0)
+    return cert._replace(lo=0, hi=0)
 
 
 def _unsettled(cert):
-    return dataclasses.replace(cert, hi=cert.hi + 2)
+    return cert._replace(hi=cert.hi + 2)
 
 
 def _padded(g, diag, pairing):
@@ -433,6 +431,30 @@ def test_rook_product_disagreement_is_refuted_not_raised(monkeypatch):
     rep = claims.check_rook_upper_domination()
     assert rep.status == "refuted"
     assert "n=2 square product: branch and bound gives 0, the exhaustive scan 8" in rep.notes
+
+
+def test_rook_corner_member_without_its_mirror_is_refuted(monkeypatch):
+    # In the n = 3 square product, corner member (0,1) gains an edge to the
+    # mirror (3,3) of (0,0), which is then covered twice. Cutting the edge
+    # from (0,2) to (3,1) leaves (3,1) private to (0,0), so the corner stays
+    # a minimal dominating set and only the mirror check refutes.
+    real = claims.direct_product
+
+    def patched(g, h):
+        prod, imap = real(g, h)
+        if g.label == h.label == "rook2xn:3":
+            rows = list(prod.adj)
+            for u, v in ((imap.index(0, 1), imap.index(3, 3)), (imap.index(0, 2), imap.index(3, 1))):
+                rows[u] ^= 1 << v
+                rows[v] ^= 1 << u
+            prod = Graph.from_rows(rows, prod.label)
+        return prod, imap
+
+    monkeypatch.setattr(claims, "direct_product", patched)
+    rep = claims.check_rook_upper_domination()
+    assert rep.status == "refuted"
+    assert rep.notes.startswith("n=3: (0,0) lacks its mirrored private neighbor; exhaustive")
+    assert "corner_size[3]" in rep.values
 
 
 def test_lollipop_stage_with_a_corrupt_pairing_is_refuted(monkeypatch):

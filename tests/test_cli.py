@@ -217,6 +217,12 @@ def test_compute_rejects_bad_exact_budget(tmp_path, capsys, budget):
     assert code == 2 and out == "" and _one_line_error(err)
 
 
+@pytest.mark.parametrize("budget", ["-5", "0"])
+def test_scan_rejects_bad_exact_budget(capsys, budget):
+    code, out, err = run_cli(capsys, "scan", "--family", "trees", "--max-n", "3", "--exact-budget", budget)
+    assert code == 2 and out == "" and _one_line_error(err)
+
+
 def test_compute_order_above_cap_exits_4(tmp_path, capsys):
     big = tmp_path / "big.adj"
     big.write_text("20001 0\n")

@@ -53,7 +53,7 @@ from domlab.products import direct_product, multiway_direct_complete, product_pa
 from domlab.matching import has_perfect_matching
 from domlab.claims import appended_path_paired_witness, distinct_trees, ratio_scan
 from domlab.solvers import (
-    Budget,
+    DEFAULT_NODE_BUDGET,
     _clique_partition,
     _edge_elements,
     _greedy,
@@ -177,18 +177,18 @@ def test_private_neighbors():
 
 def test_budget_interval_certificate():
     g = multiway_direct_complete([5, 5, 5, 5])
-    c = total_domination_number(g, Budget(max_nodes=1500))
+    c = total_domination_number(g, 1500)
     assert not c.exact and c.value is None
     assert c.lo == 3 and c.hi == 5
     assert is_total_dominating(g, c.witness)  # hi end is always witnessed
     assert len(c.witness) == c.hi
-    c2 = total_domination_number(g, Budget(max_nodes=1500))
+    c2 = total_domination_number(g, 1500)
     assert (c2.lo, c2.hi, c2.witness.bits) == (c.lo, c.hi, c.witness.bits)  # deterministic
 
 
 def test_budget_on_max_side():
     g = random_graph(24, 0.2, seed=81)
-    c = upper_domination_number(g, Budget(max_nodes=200))
+    c = upper_domination_number(g, 200)
     if not c.exact:
         assert is_minimal_dominating(g, c.witness)  # lo end witnessed for max side
         assert c.lo == len(c.witness) and c.hi >= c.lo
@@ -201,12 +201,12 @@ def test_budget_on_max_side():
 def test_drained_mis_search_is_exact(n, p, seed, budget, value):
     # the search reaches the clique-partition bound, then runs out of budget
     # popping the nodes left on its stack: the bounds meet, so it is exact
-    c = independence_number(random_graph(n, p, seed), Budget(max_nodes=budget))
+    c = independence_number(random_graph(n, p, seed), budget)
     assert (c.lo, c.hi, c.exact, c.value, c.nodes) == (value, value, True, value, budget + 1)
 
 
 def test_drained_packing_search_is_exact():
-    c = packing_number(random_graph(19, 0.15, 147), 2, Budget(max_nodes=12))
+    c = packing_number(random_graph(19, 0.15, 147), 2, 12)
     assert (c.lo, c.hi, c.exact, c.value, c.nodes) == (6, 6, True, 6, 13)
 
 
@@ -216,7 +216,7 @@ def test_search_node_counts_pinned():
     # gamma_pr search on C7xC8, but no node of the other two.
     c5c6, _ = direct_product(cycle(5), cycle(6))
     g = domination_number(c5c6)
-    t = total_domination_number(multiway_direct_complete([3, 3, 3]), Budget(max_nodes=10_000))
+    t = total_domination_number(multiway_direct_complete([3, 3, 3]), 10_000)
     p = paired_domination_number(c5c6)
     p78 = paired_domination_number(direct_product(cycle(7), cycle(8))[0])
     assert (g.value, g.nodes, g.witness.members()) == (7, 244, [0, 1, 9, 12, 17, 20, 28])
@@ -282,7 +282,7 @@ def test_min_side_search_outputs_pinned():
         "gamma_pr": (paired_domination_number, brute_gamma_pr),
     }
     for (name, param, budget), want in _SEARCH_TABLE:
-        c = solvers[param][0](graphs[name], Budget(max_nodes=budget) if budget else None)
+        c = solvers[param][0](graphs[name], budget or DEFAULT_NODE_BUDGET)
         got = (c.lo, c.hi, c.exact, c.nodes, tuple(c.witness.members()), c.pairing)
         assert got == want, (name, param, budget)
     p45 = graphs["P4xP5"]
@@ -299,13 +299,13 @@ def test_max_side_node_counts_pinned():
     # bound at the root for alpha(C5xC6) (bipartite, so the partition is
     # exact) and for the pendant-pairs rho_3 and alpha.
     lol = lollipop(complete(6), 2, 0)
-    u = upper_domination_number(direct_product(lol, lol)[0], Budget(max_nodes=1000))
+    u = upper_domination_number(direct_product(lol, lol)[0], 1000)
     assert (u.lo, u.hi, u.exact, u.nodes) == (20, 63, False, 1001)  # hi = n - delta
     assert u.witness.members() == [
         0, 1, 2, 3, 4, 5, 7, 15, 23, 31, 39, 47, 55, 56, 57, 58, 59, 60, 61, 63,
     ]
     pp, _ = direct_product(pendant_pairs(path(4)), pendant_pairs(cycle(5)))
-    r = packing_number(pp, 3, Budget(max_nodes=50_000))
+    r = packing_number(pp, 3, 50_000)
     assert (r.lo, r.hi, r.exact, r.nodes) == (40, 40, True, 0)
     assert r.witness.members() == [
         80, 81, 82, 83, 84, 85, 86, 87, 88, 89,
@@ -313,7 +313,7 @@ def test_max_side_node_counts_pinned():
         126, 128, 130, 134, 141, 143, 145, 146, 147, 149,
         156, 158, 160, 161, 162, 164, 171, 173, 175, 179,
     ]
-    a = independence_number(pp, Budget(max_nodes=50_000))
+    a = independence_number(pp, 50_000)
     assert (a.lo, a.hi, a.exact, a.nodes) == (90, 90, True, 0)
     assert a.witness.members() == [
         0, 1, 2, 3, 4, 6, 8, 10, 12, 14, 21, 23, 25, 27, 29,
@@ -334,7 +334,7 @@ def test_max_side_node_counts_pinned():
 
 def test_budget_hit_mis_reports_the_part_count():
     g = build_family(parse_family_spec("random_graph:60:10#3"))
-    c = independence_number(g, Budget(max_nodes=200))
+    c = independence_number(g, 200)
     assert (c.lo, c.hi, c.exact, c.nodes) == (23, 25, False, 201)
     assert is_k_packing(g, c.witness, 1) and len(c.witness) == c.lo
     x = independence_number(g)
@@ -348,7 +348,7 @@ def test_mis_search_depth_is_not_bounded_by_the_call_stack():
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:
         c = independence_number(cycle(501))
-        u = upper_domination_number(cycle(301), Budget(max_nodes=2000))
+        u = upper_domination_number(cycle(301), 2000)
     finally:
         sys.setrecursionlimit(old)
     assert (c.value, c.nodes) == (250, 503)
@@ -386,7 +386,7 @@ def test_searches_leave_no_cyclic_garbage():
         build_family(parse_family_spec("random_graph:8:50#21000188")),
     )
     calls = [
-        lambda: total_domination_number(k5, Budget(max_nodes=500_000)),
+        lambda: total_domination_number(k5, 500_000),
         lambda: domination_number(prod),
         lambda: has_perfect_matching(complete(8)),
         lambda: minimal_total_dominating_sizes(rook2xn(5)),
@@ -471,7 +471,7 @@ def test_upper_gamma_root_bound_against_exhaustive():
     top = g.n - min(map(int.bit_count, g.adj))
     two = Graph(42, list(g.edges()) + [(u + 21, v + 21) for u, v in g.edges()])
     for h, hi in ((g, top), (two, 2 * top)):
-        c = upper_domination_number(h, Budget(max_nodes=1))
+        c = upper_domination_number(h, 1)
         assert not c.exact and c.hi == hi >= upper_domination_number(h).value
 
 
@@ -641,11 +641,10 @@ def test_tree_scan_paired_certificates_pinned():
 def test_corrupt_component_result_raises_under_O():
     # the certificate re-check must survive python -O, which strips asserts
     script = """
-import dataclasses
 import domlab.solvers as s
 from domlab.families import path
 solve = s._min_cover
-s._min_cover = lambda *args: dataclasses.replace(solve(*args), bits=1)
+s._min_cover = lambda *args: solve(*args)._replace(bits=1)
 try:
     s.domination_number(path(6))
 except AssertionError as exc:
@@ -661,8 +660,21 @@ except AssertionError as exc:
 
 
 def test_budget_validation():
-    with pytest.raises(DomainError):
-        Budget(max_nodes=0)
+    # a budget is a node count: every public solver and ratio_scan refuse one below 1
+    g = cycle(5)
+    solves = (
+        domination_number,
+        total_domination_number,
+        paired_domination_number,
+        upper_domination_number,
+        independence_number,
+        lambda g, b: packing_number(g, 2, b),
+        lambda g, b: ratio_scan([(g, g)], b),
+    )
+    for budget in (0, -1):
+        for solve in solves:
+            with pytest.raises(DomainError, match="budget needs a positive node count"):
+                solve(g, budget)
 
 
 # parameter-specific structure

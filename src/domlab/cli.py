@@ -300,8 +300,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = None  # built by the first main call in a process
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Runs one command; returns its exit code. The parser is built on the first
+    call and kept: in-process callers gain, a one-command process builds one anyway."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    args = _PARSER.parse_args(argv)
     if getattr(args, "exact_budget", 1) < 1:
         _err("budget needs a positive node count")
         return EXIT_USAGE

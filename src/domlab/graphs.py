@@ -8,9 +8,8 @@ homed on different graphs cannot be mixed by accident.
 from __future__ import annotations
 
 import json
-import re
-from itertools import compress, repeat
-from operator import add, lt, mul
+from itertools import compress
+from operator import ge, le, lt
 
 ORDER_CAP = 20000  # one desk-scale ceiling: constructed, materialized and read graphs
 EDGE_CAP = 1_000_000  # edges of constructed and read graphs: at most 12 MB of edge lines
@@ -18,11 +17,6 @@ EDGE_CAP = 1_000_000  # edges of constructed and read graphs: at most 12 MB of e
 # Graph text is read in slices of about this many characters, each cut after
 # a line break, so the reader's working memory stays bounded by the slice.
 _SLICE_CHARS = 1 << 16
-
-# A run of well-formed edge lines, but for leading zeros, which JSON's
-# grammar rejects. Indices below ORDER_CAP have at most five digits; a
-# longer number fails the match, and the line-by-line path words it.
-_EDGE_LINES = re.compile(r"(?:[0-9]{1,5} [0-9]{1,5}\n)*")
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")  # binary digits to 0/1 selectors
 
@@ -277,6 +271,9 @@ def write_graph_text(g: Graph, comment: str | None = None) -> str:
         if m > EDGE_CAP:
             m += sum((row >> v + 1).bit_count() for v, row in enumerate(g.adj[u + 1 :], u + 1))
             raise ResourceError(f"{g.label or 'graph'} has {m} edges, above the {EDGE_CAP}-edge cap")
+        if count == 1:  # a path or pendant row: its one line whole
+            out.append(names[u] + " " + names[u + width] + "\n")
+            continue
         if count * 32 >= width:  # a set bit per 32 of span: decoding digits is cheaper
             digits = bin(above)[:1:-1].encode().translate(_BIT_BYTES)
             ends = compress(names[u + 1 : u + 1 + width], digits)
@@ -338,11 +335,14 @@ def _edge_error(us, vs, n: int, last: int):
 
 def _edge_numbers(chunk: str):
     """The numbers of a slice of well-formed edge lines in order, or None
-    when the slice is not one: it fails the shape match, or JSON rejects a
-    leading zero. The slice then goes line by line, which words the error."""
-    if not _EDGE_LINES.fullmatch(chunk):
+    when the slice is not one: it is not ASCII, its non-digits do not read
+    ' \\n' over and over, or JSON rejects an empty number or a leading zero.
+    The slice then goes line by line, which words the error."""
+    if not chunk.isascii():
         return None
-    # only digits, single spaces and line breaks: a JSON list of ints
+    seps = chunk.encode("ascii").translate(None, b"0123456789")
+    if seps != b" \n" * (len(seps) // 2):
+        return None
     try:
         return json.loads("[" + chunk[:-1].replace(" ", ",").replace("\n", ",") + "]")
     except ValueError:
@@ -375,13 +375,14 @@ def read_graph_text(text: str) -> Graph:
     EDGE_CAP raises ResourceError. Only a newline ends a line.
 
     The edge block is read in slices of about _SLICE_CHARS characters cut
-    after a line break. One regex match checks a slice's line shapes, its
-    numbers are converted in one call, and the range and strict-order checks
-    run over whole lists, the last key u*n + v carried from slice to slice.
-    A slice that fails the match (a comment line or an error) goes line by
-    line through _read_pair, the one place that words a line error. Slicing
-    bounds the working memory beyond the text and the adjacency rows: lists
-    of the numbers of the whole block would cost more than the rows."""
+    after a line break. A byte-class check tests a slice's line shapes, its
+    numbers are converted in one call, and the range and order checks run
+    over whole lists: u rises weakly, and strictly where v does not, and the
+    last key u*n + v is carried from slice to slice. A slice that fails the
+    shape check (a comment line or an error) goes line by line through
+    _read_pair, the one place that words a line error. Slicing bounds the
+    working memory beyond the text and the adjacency rows: lists of the
+    numbers of the whole block would cost more than the rows."""
     n, m, pos = read_graph_header(text)
     rows = [0] * n
     count, last = 0, -1
@@ -403,12 +404,14 @@ def read_graph_text(text: str) -> Graph:
             raise FormatError(f"expected {m} edge lines, found more")
         if not us:
             continue
-        # Keys rise from above -1, which with v < n also keeps every u >= 0.
-        keys = list(map(add, map(mul, us, repeat(n)), vs))
-        if not (max(vs) < n and all(map(lt, us, vs))
-                and last < keys[0] and all(map(lt, keys, keys[1:]))):
+        # u rises weakly, and strictly where v does not. The first key u*n + v
+        # tops the last key (-1 at first); with v < n that puts the least u,
+        # us[0], and so every u, at 0 or above.
+        if not (max(vs) < n and all(map(lt, us, vs)) and last < us[0] * n + vs[0]
+                and all(map(le, us, us[1:]))
+                and all(us[i - 1] < us[i] for i in compress(range(1, len(vs)), map(ge, vs, vs[1:])))):
             _edge_error(us, vs, n, last)
-        last = keys[-1]
+        last = us[-1] * n + vs[-1]
         for u, v in zip(us, vs):
             rows[u] |= 1 << v
             rows[v] |= 1 << u

@@ -223,6 +223,27 @@ def test_scan_rejects_bad_exact_budget(capsys, budget):
     assert code == 2 and out == "" and _one_line_error(err)
 
 
+def test_one_parser_serves_every_command_and_keeps_no_state(tmp_path, capsys, monkeypatch):
+    # main builds its parser on the first call; a flag given to one command
+    # must not reach the next
+    builds = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
+    monkeypatch.setattr(cli, "_PARSER", None)
+    c7, c8 = str(tmp_path / "c7.adj"), _write(tmp_path, "cycle:8", "c8.adj")
+    assert run_cli(capsys, "construct", "cycle:7", "-o", c7) == (0, "", "")
+    code, out, _ = run_cli(capsys, "compute", "gamma", c7, "--json")
+    assert code == 0 and json.loads(out)["value"] == 3
+    code, out, _ = run_cli(capsys, "compute", "gamma", c7)
+    assert code == 0 and out.startswith("parameter = gamma\n") and "value = 3" in out
+    argv = ("compute", "gamma_pr", c7, c8, "--product", "direct")
+    assert run_cli(capsys, *argv, "--exact-budget", "1")[0] == 3
+    assert run_cli(capsys, *argv)[0] == 0
+    code, out, _ = run_cli(capsys, "scan", "--family", "subdivided_star:N", "--max-n", "2")
+    assert code == 0 and "ratio = 0.75" in out
+    assert builds == [1]
+
+
 def test_compute_order_above_cap_exits_4(tmp_path, capsys):
     big = tmp_path / "big.adj"
     big.write_text("20001 0\n")

@@ -180,11 +180,22 @@ def test_text_format_comments_allowed_blank_lines_rejected():
         "2 1\r0 1\n",  # only a newline ends a line
         "2 1\x0c0 1\n",
         "2 1\u20280 1\n",
+        "2 1\n0 \ud800\n",  # a lone surrogate, which no codec encodes
+        "2 1\n0 \u0661\n",  # int() reads Arabic-Indic digits
+        "2 1\n0 1e0\n",  # JSON would read a float
+        "2 1\n0 1.0\n",
+        "3 2\n0 2\n0 1\n",  # same u, v falls
+        "3 1\n0 100000\n",  # six digits
     ],
 )
 def test_text_format_rejections(text):
     with pytest.raises(FormatError):
         read_graph_text(text)
+
+
+def test_text_format_six_digit_index_is_out_of_range():
+    with pytest.raises(FormatError, match="violates"):
+        read_graph_text("3 1\n0 100000\n")
 
 
 def test_text_format_order_cap():
@@ -212,9 +223,10 @@ def test_writer_raises_past_the_edge_cap_with_the_full_count(monkeypatch):
 
 
 # Mutation characters for the differential test: digits, the separators, the
-# comment mark and characters int() or str.split treat specially. '\r' is left
+# comment mark, characters int() or str.split treat specially, a digit that
+# is not ASCII (int() reads it) and the marks of a JSON float. '\r' is left
 # out: str.splitlines in the oracle breaks lines there, the reader does not.
-_MUTATION_ALPHABET = "0123456789 \n#-+_x\t"
+_MUTATION_ALPHABET = "0123456789 \n#-+_x\t\u0661.e"
 
 
 def _mutate(rng, text):

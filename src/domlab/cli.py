@@ -262,8 +262,20 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
+class _UsageError(Exception):
+    """A bad command line, worded by argparse."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Hands a bad command line to main as one error line, no usage block;
+    its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="domlab",
         description="Exact domination-chain computations on product-built graphs.",
     )
@@ -309,7 +321,11 @@ def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = _build_parser()
-    args = _PARSER.parse_args(argv)
+    try:
+        args = _PARSER.parse_args(argv)
+    except _UsageError as exc:
+        _err(str(exc))
+        return EXIT_USAGE
     if getattr(args, "exact_budget", 1) < 1:
         _err("budget needs a positive node count")
         return EXIT_USAGE

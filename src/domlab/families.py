@@ -1,12 +1,8 @@
 """Constructors for every graph family the harness uses, seeded random generators
-for property tests, and the FamilySpec string grammar.
-
-Grammar (the CLI's construct argument):
-    complete:6  path:5  cycle:7  star:4  subdivided_star:3  rook2xn:5
-    complete_product[4,4,4]      cayleypop[2,5]:3
-    random_tree:9#42             random_graph:10:30#7   (edge percent 0..100)
-    lollipop(<spec>):ell@anchor  pendant_pairs(<spec>)
-Only these canonical spellings parse (canonical_spec gives them back).
+for property tests, and the FamilySpec string grammar: a family name, then the
+parts its _FAMILIES shape names, as in complete:6, cayleypop[2,5]:3,
+random_graph:10:30#7 (edge percent 0..100) or lollipop(pendant_pairs(path:3)):2@0.
+Only the canonical spelling parses (canonical_spec gives it back).
 """
 
 from __future__ import annotations
@@ -20,49 +16,43 @@ from .graphs import ORDER_CAP, DomainError, Graph, ResourceError
 from .products import cartesian_product, multiway_direct_complete
 
 
-def _guard_order(family: str, n: int):
-    # one desk-scale ceiling for the whole lab, shared with product materialization
-    if n > ORDER_CAP:
-        raise ResourceError(f"{family}: order {n} exceeds the {ORDER_CAP}-vertex cap")
+def _guard_order(family: str, n: int, order: int, least: int = 1):
+    """A parameter n below least is a domain error; an order over the one
+    desk-scale ceiling of the whole lab, shared with product
+    materialization, a resource error."""
+    if n < least:
+        raise DomainError(f"{family}: n >= {least}")
+    if order > ORDER_CAP:
+        raise ResourceError(f"{family}: order {order} exceeds the {ORDER_CAP}-vertex cap")
 
 
 def complete(n: int) -> Graph:
-    if n < 1:
-        raise DomainError("complete: n >= 1")
-    _guard_order("complete", n)
+    _guard_order("complete", n, n)
     full = (1 << n) - 1
     return Graph.from_rows([full ^ (1 << v) for v in range(n)], f"complete:{n}")
 
 
 def path(n: int) -> Graph:
-    if n < 1:
-        raise DomainError("path: n >= 1")
-    _guard_order("path", n)
+    _guard_order("path", n, n)
     return Graph(n, [(i, i + 1) for i in range(n - 1)], f"path:{n}")
 
 
 def cycle(n: int) -> Graph:
-    if n < 3:
-        raise DomainError("cycle: n >= 3")
-    _guard_order("cycle", n)
+    _guard_order("cycle", n, n, 3)
     edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
     return Graph(n, edges, f"cycle:{n}")
 
 
 def star(n: int) -> Graph:
     """Center 0 joined to leaves 1..n."""
-    if n < 1:
-        raise DomainError("star: n >= 1")
-    _guard_order("star", n + 1)
+    _guard_order("star", n, n + 1)
     return Graph(n + 1, [(0, i) for i in range(1, n + 1)], f"star:{n}")
 
 
 def subdivided_star(n: int) -> Graph:
     """Star with every edge subdivided once: center 0, midpoints 1..n, leaf n+i
     hanging off midpoint i."""
-    if n < 1:
-        raise DomainError("subdivided_star: n >= 1")
-    _guard_order("subdivided_star", 2 * n + 1)
+    _guard_order("subdivided_star", n, 2 * n + 1)
     edges = [(0, i) for i in range(1, n + 1)] + [(i, n + i) for i in range(1, n + 1)]
     return Graph(2 * n + 1, edges, f"subdivided_star:{n}")
 
@@ -74,7 +64,7 @@ def lollipop(g: Graph, ell: int, anchor: int) -> Graph:
     """
     if ell < 0:
         raise DomainError("lollipop: ell >= 0")
-    _guard_order("lollipop", g.n + ell)
+    _guard_order("lollipop", ell, g.n + ell, 0)
     if not 0 <= anchor < g.n:
         raise IndexError(f"anchor {anchor} out of range")
     if ell == 0:
@@ -92,7 +82,7 @@ def lollipop(g: Graph, ell: int, anchor: int) -> Graph:
 def pendant_pairs(g: Graph) -> Graph:
     """Attach a two-vertex path to every vertex: v - (n+2v) - (n+2v+1)."""
     n = g.n
-    _guard_order("pendant_pairs", 3 * n)
+    _guard_order("pendant_pairs", n, 3 * n, 0)
     rows = list(g.adj) + [0] * (2 * n)
     for v in range(n):
         mid, tip = n + 2 * v, n + 2 * v + 1
@@ -106,9 +96,7 @@ def pendant_pairs(g: Graph) -> Graph:
 def rook2xn(n: int) -> Graph:
     """The 2xn rook graph: two n-cliques plus the perfect matching between them.
     Vertex (i, j) has index i*n + j."""
-    if n < 1:
-        raise DomainError("rook2xn: n >= 1")
-    _guard_order("rook2xn", 2 * n)
+    _guard_order("rook2xn", n, 2 * n)
     g, _ = cartesian_product(complete(2), complete(n))
     return Graph.from_rows(g.adj, f"rook2xn:{n}")
 
@@ -145,9 +133,7 @@ def prufer_decode(seq, n: int):
 
 def random_tree(n: int, seed: int) -> Graph:
     """Uniform labeled tree by decoding a random Prufer sequence; deterministic in seed."""
-    if n < 1:
-        raise DomainError("random_tree: n >= 1")
-    _guard_order("random_tree", n)
+    _guard_order("random_tree", n, n)
     label = f"random_tree:{n}#{seed}"
     if n == 1:
         return Graph(1, [], label)
@@ -158,16 +144,19 @@ def random_tree(n: int, seed: int) -> Graph:
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
     """G(n, p) with independent edge flips in fixed (u, v) order."""
-    if n < 1:
-        raise DomainError("random_graph: n >= 1")
     if not 0 <= p <= 1:
         raise DomainError("random_graph: probability in [0, 1]")
-    _guard_order("random_graph", n)
-    rng = random.Random(seed)
-    edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
-    ]
-    return Graph(n, edges, f"random_graph:{n}:{p:g}#{seed}")
+    _guard_order("random_graph", n, n)
+    draw = random.Random(seed).random
+    rows = [0] * n
+    for u in range(n):
+        row, bit = rows[u], 1 << u
+        for v in range(u + 1, n):
+            if draw() < p:
+                row |= 1 << v
+                rows[v] |= bit
+        rows[u] = row
+    return Graph.from_rows(rows, f"random_graph:{n}:{p:g}#{seed}")
 
 
 def _random_graph_percent(n: int, pct: int, seed: int) -> Graph:
@@ -187,33 +176,61 @@ class FamilySpec(NamedTuple):
     anchor: int | None = None
 
 
-# leaf family -> (constructor, parameter count); a seeded one takes the seed last
-_LEAVES = {
-    "complete": (complete, 1),
-    "path": (path, 1),
-    "cycle": (cycle, 1),
-    "star": (star, 1),
-    "subdivided_star": (subdivided_star, 1),
-    "rook2xn": (rook2xn, 1),
-    "random_tree": (random_tree, 1),
-    "random_graph": (_random_graph_percent, 2),
+def _anchored_lollipop(g: Graph, ell: int, anchor: int) -> Graph:
+    """lollipop for specs: an anchor outside g is a spec error, not an IndexError."""
+    if not 0 <= anchor < g.n:
+        raise DomainError(f"lollipop anchor {anchor} outside the inner graph's {g.n} vertices")
+    return lollipop(g, ell, anchor)
+
+
+# family -> (constructor, shape). The shape spells the canonical form after the
+# name, one mark per part: "(" an inner spec, "[" a bracket list of leading
+# parameters, each ":" one more parameter, "@" an anchor, "#" a seed. The
+# constructor takes the parts in that order, the inner spec built.
+_FAMILIES = {
+    "complete": (complete, ":"),
+    "path": (path, ":"),
+    "cycle": (cycle, ":"),
+    "star": (star, ":"),
+    "subdivided_star": (subdivided_star, ":"),
+    "rook2xn": (rook2xn, ":"),
+    "complete_product": (multiway_direct_complete, "["),
+    "cayleypop": (cayleypop, "[:"),
+    "random_tree": (random_tree, ":#"),
+    "random_graph": (_random_graph_percent, "::#"),
+    "lollipop": (_anchored_lollipop, "(:@"),
+    "pendant_pairs": (pendant_pairs, "("),
 }
-_SEEDED = {"random_tree", "random_graph"}
+_FORMS = {"(": "(<spec>)", "[": "[n,...]", ":": ":n", "@": "@anchor", "#": "#seed"}
+MAX_NESTING = 32  # inner specs inside inner specs
+MAX_DIGITS = 100  # per number, so int() never meets its own digit limit
+_NAME = re.compile(r"[a-z_0-9]+")
+_NUMBER = re.compile(r"-?(\d+)")
+
+
+def _parts(spec: FamilySpec, inner):
+    """Yields (mark, value) for each mark of spec's shape, in order; the
+    inner spec's value is inner(spec.inner)."""
+    shape = _FAMILIES[spec.family][1]
+    split = len(spec.params) - shape.count(":")
+    tail = iter(spec.params[split:])
+    for mark in shape:
+        if mark == "(":
+            yield mark, inner(spec.inner)
+        elif mark == "[":
+            yield mark, spec.params[:split]
+        elif mark == ":":
+            yield mark, next(tail)
+        else:
+            yield mark, spec.anchor if mark == "@" else spec.seed
 
 
 def canonical_spec(spec: FamilySpec) -> str:
-    if spec.family == "lollipop":
-        return f"lollipop({canonical_spec(spec.inner)}):{spec.params[0]}@{spec.anchor}"
-    if spec.family == "pendant_pairs":
-        return f"pendant_pairs({canonical_spec(spec.inner)})"
-    if spec.family == "complete_product":
-        return "complete_product[" + ",".join(map(str, spec.params)) + "]"
-    if spec.family == "cayleypop":
-        orders = ",".join(map(str, spec.params[:-1]))
-        return f"cayleypop[{orders}]:{spec.params[-1]}"
-    text = spec.family + "".join(f":{p}" for p in spec.params)
-    if spec.seed is not None:
-        text += f"#{spec.seed}"
+    text = spec.family
+    for mark, value in _parts(spec, canonical_spec):
+        if mark == "[":
+            value = ",".join(map(str, value)) + "]"
+        text += f"({value})" if mark == "(" else f"{mark}{value}"
     return text
 
 
@@ -221,9 +238,9 @@ def parse_family_spec(text: str) -> FamilySpec:
     """Parses the canonical spelling only, naming it when rejecting another:
     a lenient reading can build a different graph than the text says."""
     text = text.strip()
-    spec, rest = _parse(text)
-    if rest:
-        raise DomainError(f"trailing text {rest!r} in family spec")
+    spec, end = _parse(text, 0, 0)
+    if end < len(text):
+        raise DomainError(f"trailing text {text[end:]!r} in family spec")
     _validate(spec)
     canonical = canonical_spec(spec)
     if text != canonical:
@@ -231,87 +248,62 @@ def parse_family_spec(text: str) -> FamilySpec:
     return spec
 
 
-def _parse(s: str):
-    m = re.match(r"[a-z_0-9]+", s)
+def _number(s: str, i: int):
+    m = _NUMBER.match(s, i)
+    if not m or len(m.group(1)) > MAX_DIGITS:
+        raise DomainError(f"expected a number of at most {MAX_DIGITS} digits near {s[i:i + 20]!r}")
+    return int(m.group()), m.end()
+
+
+def _parse(s: str, i: int, depth: int):
+    """Reads one spec at s[i:] with each part optional, in shape order;
+    returns it and the index after it. _validate holds it to its shape."""
+    if depth > MAX_NESTING:
+        raise DomainError(f"family spec nested deeper than {MAX_NESTING} levels")
+    m = _NAME.match(s, i)
     if not m:
-        raise DomainError(f"bad family spec near {s!r}")
-    name = m.group(0)
-    s = s[m.end():]
-    if name in ("lollipop", "pendant_pairs"):
-        if not s.startswith("("):
-            raise DomainError(f"{name} needs a parenthesized inner spec")
-        inner, s = _parse(s[1:])
-        if not s.startswith(")"):
+        raise DomainError(f"bad family spec near {s[i:i + 20]!r}")
+    i = m.end()
+    params, inner, anchor, seed = [], None, None, None
+    if s.startswith("(", i):
+        inner, i = _parse(s, i + 1, depth + 1)
+        if not s.startswith(")", i):
             raise DomainError("unclosed inner spec")
-        s = s[1:]
-        if name == "pendant_pairs":
-            return FamilySpec("pendant_pairs", inner=inner), s
-        m = re.match(r":(\d+)@(\d+)", s)
-        if not m:
-            raise DomainError("lollipop spec needs :ell@anchor")
-        spec = FamilySpec(
-            "lollipop", (int(m.group(1)),), inner=inner, anchor=int(m.group(2))
-        )
-        return spec, s[m.end():]
-    params: list[int] = []
-    if s.startswith("["):
-        end = s.find("]")
-        if end < 0:
+        i += 1
+    if s.startswith("[", i):
+        while not params or s.startswith(",", i):
+            value, i = _number(s, i + 1)
+            params.append(value)
+        if not s.startswith("]", i):
             raise DomainError("unclosed bracket list")
-        body = s[1:end]
-        try:
-            params.extend(int(x) for x in body.split(","))
-        except ValueError:
-            raise DomainError(f"bad bracket list {body!r}") from None
-        s = s[end + 1:]
-    while (m := re.match(r":(-?\d+)", s)):
-        params.append(int(m.group(1)))
-        s = s[m.end():]
-    seed = None
-    if (m := re.match(r"#(-?\d+)", s)):
-        seed = int(m.group(1))
-        s = s[m.end():]
-    return FamilySpec(name, tuple(params), seed), s
+        i += 1
+    while s.startswith(":", i):
+        value, i = _number(s, i + 1)
+        params.append(value)
+    if s.startswith("@", i):
+        anchor, i = _number(s, i + 1)
+    if s.startswith("#", i):
+        seed, i = _number(s, i + 1)
+    return FamilySpec(m.group(), tuple(params), seed, inner, anchor), i
 
 
 def _validate(spec: FamilySpec):
     f = spec.family
-    if f in ("lollipop", "pendant_pairs"):
-        _validate(spec.inner)
-        return
-    if f == "complete_product":
-        if not spec.params:
-            raise DomainError("complete_product needs factor orders")
-    elif f == "cayleypop":
-        if len(spec.params) < 2:
-            raise DomainError("cayleypop needs factor orders and a tail length")
-    elif f in _LEAVES:
-        arity = _LEAVES[f][1]
-        if len(spec.params) != arity:
-            raise DomainError(f"{f} takes {arity} parameter(s), got {len(spec.params)}")
-    else:
+    if f not in _FAMILIES:
         raise DomainError(f"unknown family {f!r}")
-    if (spec.seed is not None) != (f in _SEEDED):
-        need = "requires" if f in _SEEDED else "does not take"
-        raise DomainError(f"{f} {need} a #seed")
+    shape = _FAMILIES[f][1]
+    listed = len(spec.params) - shape.count(":")  # in the bracket list
+    given = {"(": spec.inner, "@": spec.anchor, "#": spec.seed}
+    if listed < 0 or (listed > 0) != ("[" in shape) or any(
+        (value is not None) != (mark in shape) for mark, value in given.items()
+    ):
+        raise DomainError(f"{f} specs take the form {f}" + "".join(map(_FORMS.get, shape)))
+    if spec.inner is not None:
+        _validate(spec.inner)
 
 
 def build_family(spec: FamilySpec) -> Graph:
     """Construct the graph; the label is the canonical spec string."""
     _validate(spec)
-    f = spec.family
-    if f == "lollipop":
-        g = build_family(spec.inner)
-        if not 0 <= spec.anchor < g.n:
-            raise DomainError(f"lollipop anchor {spec.anchor} outside the inner graph's {g.n} vertices")
-        g = lollipop(g, spec.params[0], spec.anchor)
-    elif f == "pendant_pairs":
-        g = pendant_pairs(build_family(spec.inner))
-    elif f == "complete_product":
-        g = multiway_direct_complete(spec.params)
-    elif f == "cayleypop":
-        g = cayleypop(spec.params[:-1], spec.params[-1])
-    else:
-        seed = () if spec.seed is None else (spec.seed,)
-        g = _LEAVES[f][0](*spec.params, *seed)
+    g = _FAMILIES[spec.family][0](*(value for _, value in _parts(spec, build_family)))
     return Graph.from_rows(g.adj, canonical_spec(spec))

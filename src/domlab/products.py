@@ -96,9 +96,15 @@ def multiway_direct_complete(orders) -> Graph:
     if any(n < 2 for n in orders):
         raise DomainError("every factor order must be at least 2")
     total = 1
-    for n in orders:
+    for i, n in enumerate(orders, 1):
         total *= n
-    _cap_check(total, "complete-graph product")
+        # stop at the first partial product over the cap: the full one can
+        # run to thousands of digits, past what str() converts
+        if total > ORDER_CAP:
+            raise ResourceError(
+                f"complete-graph product: its first {i} of {len(orders)} factor orders"
+                f" multiply past the materialization cap {ORDER_CAP}"
+            )
     tuples = list(iter_product(*map(range, orders)))
     agree = [[0] * n for n in orders]  # agree[i][v]: the tuples whose coordinate i is v
     for idx, x in enumerate(tuples):

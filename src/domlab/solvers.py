@@ -551,8 +551,10 @@ def _irredundant_walk(cov, full, found, floor=None, tracker=None) -> dict:
     that leaves nothing uncovered is a minimal cover, reached once.
 
     With a floor (upper_gamma; found holds its cover) the walk ticks tracker
-    per node, prunes a node whose size plus addable count cannot pass the
-    floor and raises the floor to each cover it records. Covers are met in
+    per node, prunes a node that cannot pass the floor and raises the floor
+    to each cover it records. Below a node at most min(addable, uncovered)
+    members join: each is addable there, and the private vertex it keeps in
+    the cover is one that no member there covers. Covers are met in
     one order (the set holding the lowest vertex of a symmetric difference
     first) and pruning cuts only subtrees without a larger cover, so no
     record depends on it."""
@@ -561,7 +563,7 @@ def _irredundant_walk(cov, full, found, floor=None, tracker=None) -> dict:
         members, once, twice, add = stack.pop()
         if floor is not None:
             tracker.tick()
-            if members.bit_count() + add.bit_count() <= floor:
+            if members.bit_count() + min(add.bit_count(), (full ^ once).bit_count()) <= floor:
                 continue
         if not add:
             size = members.bit_count()

@@ -64,6 +64,52 @@ def test_construct_anchor_outside_the_inner_graph_exits_2(capsys):
     assert code == 2 and out == "" and _one_line_error(err) and "anchor 5" in err
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "pendant_pairs(" * 3000 + "path:1" + ")" * 3000,
+        "lollipop(" * 3000 + "path:1" + "):1@0" * 3000,
+        "path:" + "9" * 5000,
+        "random_tree:5#" + "9" * 5000,
+    ],
+    ids=["nested-pendant-pairs", "nested-lollipop", "long-parameter", "long-seed"],
+)
+def test_construct_spec_past_the_parser_bounds_exits_2(capsys, spec):
+    # 3,000 levels pass the recursion limit, 5,000 digits int()'s digit limit
+    code, out, err = run_cli(capsys, "construct", spec)
+    assert code == 2 and out == "" and _one_line_error(err)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "complete_product[" + ",".join(["2"] * 5000) + "]",
+        "complete_product[" + ",".join(["2"] * 14500) + "]",
+        "cayleypop[" + ",".join(map(str, range(2, 5002))) + "]:1",
+    ],
+    ids=["5000-factors", "14500-factors", "cayleypop"],
+)
+def test_construct_many_factor_product_names_the_cap(capsys, spec):
+    # the line names the cap, not a vertex count thousands of digits long
+    code, out, err = run_cli(capsys, "construct", spec)
+    assert code == 4 and out == "" and _one_line_error(err)
+    assert "cap 20000" in err and len(err) < 200
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "gamma", "g.adj", "--exact-budget", "abc"),
+        ("frobnicate",),
+        ("scan", "--max-n", "3"),
+    ],
+    ids=["bad-int", "unknown-command", "missing-family"],
+)
+def test_bad_command_line_exits_2_with_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and _one_line_error(err)
+
+
 def _write(tmp_path, spec, name):
     p = tmp_path / name
     p.write_text(write_graph_text(build_family(parse_family_spec(spec))))

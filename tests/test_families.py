@@ -1,13 +1,18 @@
 """Family constructors, labelings, and the family-string grammar."""
 
 import random
+import re
+import tracemalloc
 
 import pytest
 
 from oracles import distances, is_connected
 
-from domlab.graphs import DomainError, ResourceError
+from domlab.graphs import DomainError, Graph, ResourceError
 from domlab.families import (
+    _FAMILIES,
+    MAX_DIGITS,
+    MAX_NESTING,
     FamilySpec,
     build_family,
     canonical_spec,
@@ -25,6 +30,7 @@ from domlab.families import (
     star,
     subdivided_star,
 )
+from domlab.products import multiway_direct_complete
 
 
 def test_basic_family_shapes():
@@ -143,6 +149,32 @@ def test_random_graph_extremes_and_determinism():
     assert g.adj == random_graph(10, 0.4, seed=9).adj
 
 
+def _edge_list_random_graph(n, p, seed):
+    # the edge-list build random_graph had before it built rows: one draw per
+    # pair (u, v), u < v, in order
+    rng = random.Random(seed)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def test_random_graph_rows_match_the_edge_list_draws():
+    for n in (1, 2, 7, 13, 29):
+        for p in (0.0, 0.1, 0.3, 0.5, 0.9, 1.0):
+            for seed in (0, 1, 7, 42):
+                assert random_graph(n, p, seed).adj == _edge_list_random_graph(n, p, seed).adj
+
+
+def test_random_graph_builds_no_edge_list():
+    # an edge list of K300 is 44,850 tuples, about 4 MB; with every
+    # allocation traced, building K1000 (47 MB of tuples) takes seconds
+    tracemalloc.start()
+    try:
+        g = random_graph(300, 1.0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.m == 44_850 and peak < 1_000_000
+
+
 def test_family_order_guards():
     with pytest.raises(ResourceError):
         complete(25000)
@@ -171,11 +203,28 @@ def test_parse_and_canonical_round_trip():
         build_family(spec).check_valid()
 
 
+# one spec per family, beside the direct constructor call it must build
+_DIRECT = {
+    "complete:6": lambda: complete(6),
+    "path:5": lambda: path(5),
+    "cycle:7": lambda: cycle(7),
+    "star:4": lambda: star(4),
+    "subdivided_star:3": lambda: subdivided_star(3),
+    "rook2xn:5": lambda: rook2xn(5),
+    "complete_product[3,2,4]": lambda: multiway_direct_complete([3, 2, 4]),
+    "cayleypop[2,5]:3": lambda: cayleypop([2, 5], 3),
+    "random_tree:9#42": lambda: random_tree(9, 42),
+    "random_graph:10:30#7": lambda: random_graph(10, 0.3, 7),
+    "lollipop(complete:6):2@4": lambda: lollipop(complete(6), 2, 4),
+    "pendant_pairs(star:3)": lambda: pendant_pairs(star(3)),
+}
+
+
 def test_build_family_matches_direct_constructors():
-    assert build_family(parse_family_spec("rook2xn:5")).adj == rook2xn(5).adj
-    assert build_family(parse_family_spec("random_tree:9#42")).adj == random_tree(9, 42).adj
-    got = build_family(parse_family_spec("lollipop(complete:6):2@0"))
-    assert got.adj == lollipop(complete(6), 2, 0).adj
+    assert {re.match(r"[a-z_0-9]+", text).group() for text in _DIRECT} == set(_FAMILIES)
+    for text, direct in _DIRECT.items():
+        got = build_family(parse_family_spec(text))
+        assert got.adj == direct().adj and got.label == text, text
 
 
 @pytest.mark.parametrize(
@@ -192,6 +241,11 @@ def test_build_family_matches_direct_constructors():
         "lollipop(complete:4)",  # missing :ell@anchor
         "lollipop(complete:4:2@0",  # unclosed paren
         "random_graph:10:200#7",  # percent out of range
+        "complete:3@1",  # anchor on a family without one
+        "pendant_pairs",  # missing inner spec
+        "cayleypop[2,3]",  # missing tail length
+        "complete_product[]",
+        "lollipop(complete:4):2@0#3",  # seed on a family without one
         # non-canonical spellings, some of which would build another graph
         "complete_product[2,2]:3",
         "cycle[5]",
@@ -203,6 +257,17 @@ def test_build_family_matches_direct_constructors():
 def test_parse_rejections(text):
     with pytest.raises(DomainError):
         build_family(parse_family_spec(text))
+
+
+def test_spec_nesting_and_number_limits():
+    deepest = "pendant_pairs(" * MAX_NESTING + "path:1" + ")" * MAX_NESTING
+    assert canonical_spec(parse_family_spec(deepest)) == deepest
+    with pytest.raises(DomainError, match="nested deeper"):
+        parse_family_spec("pendant_pairs(" + deepest + ")")
+    longest = "random_tree:5#" + "9" * MAX_DIGITS
+    assert parse_family_spec(longest).seed == int("9" * MAX_DIGITS)
+    with pytest.raises(DomainError, match="digits"):
+        parse_family_spec(longest + "9")
 
 
 def test_non_canonical_spec_names_the_canonical_form():

@@ -324,8 +324,10 @@ def test_max_side_node_counts_pinned():
         150, 151, 152, 153, 154, 156, 158, 160, 162, 164, 171, 173, 175, 177, 179,
     ]
     r6 = upper_domination_number(rook2xn(6))
-    assert (r6.value, r6.nodes, r6.witness.members()) == (6, 59, [0, 1, 2, 3, 4, 5])
+    assert (r6.value, r6.nodes, r6.witness.members()) == (6, 19, [0, 1, 2, 3, 4, 5])
     c5c6, _ = direct_product(cycle(5), cycle(6))
+    u56 = upper_domination_number(c5c6)
+    assert (u56.value, u56.nodes, u56.witness.members()) == (15, 52_613, list(range(0, 30, 2)))
     a56 = independence_number(c5c6)
     assert (a56.value, a56.nodes, a56.witness.members()) == (15, 0, list(range(0, 30, 2)))
     p56 = packing_number(c5c6, 2)

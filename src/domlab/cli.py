@@ -1,8 +1,13 @@
 """Command line surface: construct graphs, compute parameters, run the claim
 suite, and scan product ratios.
 
-Exit codes: 0 success, 2 usage or format error, 3 only bounds produced,
-4 domain or resource guard (isolated vertices, materialization caps).
+Exit codes: 0 success, 1 a refuted claim, 2 usage or format error, 3 only
+bounds produced, 4 domain or resource guard (isolated vertices, size caps).
+Commands raise and main maps the error class to the code, printing one
+`domlab: ` line: FormatError, DomainError, OSError, UnicodeDecodeError and a
+bad command line exit 2; ResourceError and a domain guard exit 4. A
+DomainError raised while solving (the product and the solver in compute,
+ratio_scan in scan) is a domain guard, since the usage was already checked.
 """
 
 from __future__ import annotations
@@ -41,8 +46,17 @@ _SOLVERS = {
 }
 
 
-def _err(msg: str) -> None:
-    print(f"domlab: {msg}", file=sys.stderr)
+class _Guard(Exception):
+    """A domain guard: input that is good usage but that the solve step
+    cannot take, such as a scan member with an isolated vertex."""
+
+
+def _guarded(solve, *args):
+    """Calls a solve step; a DomainError there is a domain guard, not usage."""
+    try:
+        return solve(*args)
+    except DomainError as exc:
+        raise _Guard(str(exc)) from exc
 
 
 def _load_graph(path: str):
@@ -57,84 +71,55 @@ def _load_graph(path: str):
         return read_graph_text(head + fh.read())
 
 
-def _write_out(path, text: str) -> bool:
-    """Writes text to path, or to stdout when no path is given; on a file
-    error prints one error line and returns False."""
-    if not path:
-        sys.stdout.write(text)
-        return True
-    try:
+def _write_out(path, text: str):
+    """Writes text to path, or to stdout when no path is given."""
+    if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    except OSError as exc:
-        _err(str(exc))
-        return False
-    return True
+    else:
+        sys.stdout.write(text)
 
 
-def _can_write(path) -> bool:
+def _can_write(path):
     """Opens path for appending, which creates it but keeps what it holds, so
-    that a long command finds an unwritable output path before its work; on
-    a file error prints one error line and returns False."""
-    try:
-        with open(path, "a", encoding="utf-8"):
-            return True
-    except OSError as exc:
-        _err(str(exc))
-        return False
+    that a long command finds an unwritable output path before its work."""
+    if path:
+        open(path, "a", encoding="utf-8").close()
+
+
+def _write_reports(path, reports, timings=False):
+    """Writes the report array to path, when one is given."""
+    if path:
+        payload = [rep.to_dict(include_timings=timings) for rep in reports]
+        _write_out(path, json.dumps(payload, indent=2) + "\n")
 
 
 def cmd_construct(args) -> int:
-    try:
-        text = write_graph_text(build_family(parse_family_spec(args.spec)))
-    except (FormatError, DomainError) as exc:
-        _err(str(exc))
-        return EXIT_USAGE
-    except ResourceError as exc:
-        _err(str(exc))
-        return EXIT_GUARD
-    return EXIT_OK if _write_out(args.output, text) else EXIT_USAGE
+    _write_out(args.output, write_graph_text(build_family(parse_family_spec(args.spec))))
+    return EXIT_OK
 
 
 def cmd_compute(args) -> int:
     if len(args.graphs) not in (1, 2):
-        _err("expected one or two graph files")
-        return EXIT_USAGE
+        raise DomainError("expected one or two graph files")
     if len(args.graphs) == 2 and not args.product:
-        _err("two graphs need --product direct|cartesian")
-        return EXIT_USAGE
+        raise DomainError("two graphs need --product direct|cartesian")
     if len(args.graphs) == 1 and args.product:
-        _err("--product needs two graphs")
-        return EXIT_USAGE
+        raise DomainError("--product needs two graphs")
     if args.param == "rho_k" and args.k is None:
-        _err("rho_k needs --k")
-        return EXIT_USAGE
+        raise DomainError("rho_k needs --k")
     if args.param != "rho_k" and args.k is not None:
-        _err("--k applies only to rho_k")
-        return EXIT_USAGE
+        raise DomainError("--k applies only to rho_k")
     if args.k is not None and args.k < 1:
-        _err("k must be at least 1")
-        return EXIT_USAGE
-    try:
-        graphs = [_load_graph(p) for p in args.graphs]
-    except (OSError, UnicodeDecodeError, FormatError, DomainError) as exc:
-        _err(str(exc))
-        return EXIT_USAGE
-    except ResourceError as exc:
-        _err(str(exc))
-        return EXIT_GUARD
-    try:
-        if len(graphs) == 2:
-            make = direct_product if args.product == "direct" else cartesian_product
-            g, _ = make(graphs[0], graphs[1])
-        else:
-            g = graphs[0]
-        solve = _SOLVERS[args.param]
-        budget = args.exact_budget
-        cert = solve(g, args.k, budget) if args.param == "rho_k" else solve(g, budget)
-    except (DomainError, ResourceError) as exc:
-        _err(str(exc))
-        return EXIT_GUARD
+        raise DomainError("k must be at least 1")
+    graphs = [_load_graph(p) for p in args.graphs]
+    if len(graphs) == 2:
+        make = direct_product if args.product == "direct" else cartesian_product
+        g, _ = _guarded(make, *graphs)
+    else:
+        g = graphs[0]
+    k = (args.k,) if args.param == "rho_k" else ()
+    cert = _guarded(_SOLVERS[args.param], g, *k, args.exact_budget)
     witness = " ".join(str(v) for v in sorted(cert.witness.members()))
     if args.json:
         out = {
@@ -169,19 +154,12 @@ def cmd_verify_paper(args) -> int:
     else:
         ids = [part.strip() for part in args.suite.split(",") if part.strip()]
         if not ids:
-            _err("empty suite selection")
-            return EXIT_USAGE
+            raise DomainError("empty suite selection")
         unknown = [i for i in ids if i not in SUITE_ORDER]
         if unknown:
-            _err(f"unknown claim id: {', '.join(unknown)}")
-            return EXIT_USAGE
-    if args.json and not _can_write(args.json):
-        return EXIT_USAGE
-    try:
-        reports = run_suite(ids, seed=args.seed)
-    except DomainError as exc:
-        _err(str(exc))
-        return EXIT_USAGE
+            raise DomainError(f"unknown claim id: {', '.join(unknown)}")
+    _can_write(args.json)
+    reports = run_suite(ids, seed=args.seed)
     for rep in reports:
         print(f"{rep.claim_id}: {rep.status}")
         for key, val in rep.values.items():
@@ -190,10 +168,7 @@ def cmd_verify_paper(args) -> int:
             print(f"  note: {rep.notes}")
     refuted = sum(1 for rep in reports if rep.status == "refuted")
     print(f"claims run: {len(reports)}; refuted: {refuted}")
-    if args.json:
-        payload = [rep.to_dict(include_timings=args.timings) for rep in reports]
-        if not _write_out(args.json, json.dumps(payload, indent=2) + "\n"):
-            return EXIT_USAGE
+    _write_reports(args.json, reports, args.timings)
     return EXIT_OK if refuted == 0 else 1
 
 
@@ -218,29 +193,17 @@ def _scan_pairs(args):
 
 def cmd_scan(args) -> int:
     if not args.family:
-        _err("empty family pattern")
-        return EXIT_USAGE
+        raise DomainError("empty family pattern")
     if args.min_n > args.max_n:
-        _err("min-n larger than max-n")
-        return EXIT_USAGE
-    try:
-        pairs = _scan_pairs(args)
-    except (FormatError, DomainError) as exc:
-        _err(str(exc))
-        return EXIT_USAGE
-    except ResourceError as exc:
-        _err(str(exc))
-        return EXIT_GUARD
+        raise DomainError("min-n larger than max-n")
+    pairs = _scan_pairs(args)
     if not pairs:
-        _err("pattern produced no instances")
-        return EXIT_USAGE
+        raise DomainError("pattern produced no instances")
     isolated = [g.label for pair in pairs for g in pair if has_isolated_vertex(g)]
     if isolated:
-        _err(f"{isolated[0]}: isolated vertex, paired domination undefined")
-        return EXIT_GUARD
-    if args.json and not _can_write(args.json):
-        return EXIT_USAGE
-    reports = ratio_scan(pairs, args.exact_budget)
+        raise _Guard(f"{isolated[0]}: isolated vertex, paired domination undefined")
+    _can_write(args.json)
+    reports = _guarded(ratio_scan, pairs, args.exact_budget)
     lo = hi = None
     for rep in reports:
         if rep.status == "verified":
@@ -255,23 +218,16 @@ def cmd_scan(args) -> int:
     if lo is not None:
         print(f"min ratio = {lo[0]} at {lo[1]}")
         print(f"max ratio = {hi[0]} at {hi[1]}")
-    if args.json:
-        payload = [rep.to_dict() for rep in reports]
-        if not _write_out(args.json, json.dumps(payload, indent=2) + "\n"):
-            return EXIT_USAGE
+    _write_reports(args.json, reports)
     return EXIT_OK
 
 
-class _UsageError(Exception):
-    """A bad command line, worded by argparse."""
-
-
 class _Parser(argparse.ArgumentParser):
-    """Hands a bad command line to main as one error line, no usage block;
-    its subcommand parsers are of this class too."""
+    """Hands a bad command line to main as a DomainError, so it exits with one
+    error line and no usage block; its subcommand parsers are of this class too."""
 
     def error(self, message):
-        raise _UsageError(message)
+        raise DomainError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -316,17 +272,21 @@ _PARSER = None  # built by the first main call in a process
 
 
 def main(argv=None) -> int:
-    """Runs one command; returns its exit code. The parser is built on the first
-    call and kept: in-process callers gain, a one-command process builds one anyway."""
+    """Runs one command; returns its exit code. The one place where an error
+    becomes an exit code and a `domlab: ` line. The parser is built on the
+    first call and kept: in-process callers gain, a one-command process builds
+    one anyway."""
     global _PARSER
     if _PARSER is None:
         _PARSER = _build_parser()
     try:
         args = _PARSER.parse_args(argv)
-    except _UsageError as exc:
-        _err(str(exc))
-        return EXIT_USAGE
-    if getattr(args, "exact_budget", 1) < 1:
-        _err("budget needs a positive node count")
-        return EXIT_USAGE
-    return args.func(args)
+        if getattr(args, "exact_budget", 1) < 1:
+            raise DomainError("budget needs a positive node count")
+        return args.func(args)
+    except (FormatError, DomainError, OSError, UnicodeDecodeError) as exc:
+        code, error = EXIT_USAGE, exc
+    except (ResourceError, _Guard) as exc:
+        code, error = EXIT_GUARD, exc
+    print(f"domlab: {error}", file=sys.stderr)
+    return code

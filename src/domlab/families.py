@@ -226,6 +226,9 @@ def _parts(spec: FamilySpec, inner):
 
 
 def canonical_spec(spec: FamilySpec) -> str:
+    """The one spelling parse_family_spec accepts for spec, once spec is
+    held to its shape."""
+    _validate(spec)
     text = spec.family
     for mark, value in _parts(spec, canonical_spec):
         if mark == "[":
@@ -241,7 +244,6 @@ def parse_family_spec(text: str) -> FamilySpec:
     spec, end = _parse(text, 0, 0)
     if end < len(text):
         raise DomainError(f"trailing text {text[end:]!r} in family spec")
-    _validate(spec)
     canonical = canonical_spec(spec)
     if text != canonical:
         raise DomainError(f"family spec {text!r} is not canonical; write {canonical!r}")
@@ -288,18 +290,24 @@ def _parse(s: str, i: int, depth: int):
 
 
 def _validate(spec: FamilySpec):
-    f = spec.family
-    if f not in _FAMILIES:
-        raise DomainError(f"unknown family {f!r}")
-    shape = _FAMILIES[f][1]
-    listed = len(spec.params) - shape.count(":")  # in the bracket list
-    given = {"(": spec.inner, "@": spec.anchor, "#": spec.seed}
-    if listed < 0 or (listed > 0) != ("[" in shape) or any(
-        (value is not None) != (mark in shape) for mark, value in given.items()
-    ):
-        raise DomainError(f"{f} specs take the form {f}" + "".join(map(_FORMS.get, shape)))
-    if spec.inner is not None:
-        _validate(spec.inner)
+    """Holds spec and each inner spec to its family's shape, walking at most
+    MAX_NESTING levels down as the parser does, so a spec built by hand
+    cannot reach the recursion limit."""
+    for _ in range(MAX_NESTING + 1):
+        f = spec.family
+        if f not in _FAMILIES:
+            raise DomainError(f"unknown family {f!r}")
+        shape = _FAMILIES[f][1]
+        listed = len(spec.params) - shape.count(":")  # in the bracket list
+        given = {"(": spec.inner, "@": spec.anchor, "#": spec.seed}
+        if listed < 0 or (listed > 0) != ("[" in shape) or any(
+            (value is not None) != (mark in shape) for mark, value in given.items()
+        ):
+            raise DomainError(f"{f} specs take the form {f}" + "".join(map(_FORMS.get, shape)))
+        spec = spec.inner
+        if spec is None:
+            return
+    raise DomainError(f"family spec nested deeper than {MAX_NESTING} levels")
 
 
 def build_family(spec: FamilySpec) -> Graph:

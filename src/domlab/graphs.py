@@ -245,8 +245,8 @@ def induced_subgraph(g: Graph, s: VertexSet):
     return Graph.from_rows(rows), remap
 
 
-def write_graph_text(g: Graph, comment: str | None = None) -> str:
-    """Canonical text form: optional # comments, 'n m' header, sorted 'u v' lines.
+def write_graph_text(g: Graph) -> str:
+    """Canonical text form: the 'n m' header, then sorted 'u v' lines.
 
     Row u contributes one string, its lines naming the bits of adj[u] above
     u. A row dense over its span is decoded from its binary digits in C; a
@@ -255,11 +255,7 @@ def write_graph_text(g: Graph, comment: str | None = None) -> str:
     the decimal names and one string per row, not one per edge. Once the
     running edge count passes EDGE_CAP it raises ResourceError, naming the
     full count, before building more text."""
-    out = []
-    if comment:
-        out.extend(f"# {c}\n" if c else "#\n" for c in str(comment).splitlines())
-    header = len(out)
-    out.append("")  # filled in once the edges are counted
+    out = [""]  # the header, filled in once the edges are counted
     names = list(map(str, range(g.n)))
     m = 0
     for u, row in enumerate(g.adj):
@@ -286,7 +282,7 @@ def write_graph_text(g: Graph, comment: str | None = None) -> str:
             ends.reverse()
         lead = names[u] + " "
         out.append(lead + ("\n" + lead).join(ends) + "\n")
-    out[header] = f"{g.n} {m}\n"
+    out[0] = f"{g.n} {m}\n"
     return "".join(out)
 
 

@@ -22,15 +22,6 @@ class ProductIndexMap(NamedTuple):
             raise IndexError(f"pair ({g},{h}) out of range")
         return g * self.right_order + h
 
-    def pair(self, i: int) -> tuple[int, int]:
-        if not 0 <= i < self.size:
-            raise IndexError(f"index {i} out of range")
-        return divmod(i, self.right_order)
-
-    @property
-    def size(self) -> int:
-        return self.left_order * self.right_order
-
 
 def _cap_check(n: int, what: str):
     if n > ORDER_CAP:

@@ -9,7 +9,8 @@ import pytest
 from domlab import cli
 from domlab.cli import main
 from domlab.families import build_family, cycle, parse_family_spec
-from domlab.graphs import FormatError, Graph, read_graph_text, write_graph_text
+from domlab.graphs import DomainError, FormatError, Graph, ResourceError
+from domlab.graphs import read_graph_text, write_graph_text
 from domlab.products import direct_product
 from domlab.solvers import domination_number
 
@@ -451,3 +452,32 @@ def test_failed_run_keeps_existing_json(tmp_path, capsys):
     out_path.write_text("old\n")
     code, _, err = run_cli(capsys, "verify-paper", "--suite", "no-such-claim", "--json", str(out_path))
     assert code == 2 and _one_line_error(err) and out_path.read_text() == "old\n"
+
+
+_CALLS = {
+    "build_family": ("construct", "path:3"),
+    "write_graph_text": ("construct", "path:3"),
+    "_load_graph": ("compute", "gamma", "g.adj"),
+    "solver": ("compute", "gamma", "g.adj"),
+    "run_suite": ("verify-paper", "--suite", "appended-path-monotonicity"),
+    "ratio_scan": ("scan", "--family", "subdivided_star:N", "--max-n", "2"),
+    "distinct_trees": ("scan", "--family", "trees", "--max-n", "3"),
+}
+
+
+@pytest.mark.parametrize("error", [DomainError, FormatError, ResourceError, OSError], ids=lambda e: e.__name__)
+@pytest.mark.parametrize("call", _CALLS)
+def test_every_library_error_exits_with_its_code_and_one_line(tmp_path, capsys, monkeypatch, call, error):
+    # main maps each error class to one exit code, except that a DomainError
+    # while solving (the solver, ratio_scan) is a domain guard
+    def fail(*args, **kwargs):
+        raise error("boom")
+
+    if call == "solver":
+        monkeypatch.setitem(cli._SOLVERS, "gamma", fail)
+    else:
+        monkeypatch.setattr(cli, call, fail)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.adj").write_text("3 2\n0 1\n1 2\n")
+    guard = error is ResourceError or (error is DomainError and call in ("solver", "ratio_scan"))
+    assert run_cli(capsys, *_CALLS[call]) == (4 if guard else 2, "", "domlab: boom\n")

@@ -270,6 +270,26 @@ def test_spec_nesting_and_number_limits():
         parse_family_spec(longest + "9")
 
 
+def test_hand_built_specs_outside_the_grammar_raise_domain_error():
+    # the parser caps text at MAX_NESTING levels; a FamilySpec built in code
+    # meets the same cap, and an unknown family or a missing part is named
+    deep = FamilySpec("path", (1,))
+    for _ in range(3000):
+        deep = FamilySpec("pendant_pairs", inner=deep)
+    for call in (build_family, canonical_spec):
+        with pytest.raises(DomainError, match="nested deeper"):
+            call(deep)
+    with pytest.raises(DomainError, match="unknown family 'nope'"):
+        canonical_spec(FamilySpec("nope"))
+    with pytest.raises(DomainError, match="path specs take the form path:n"):
+        canonical_spec(FamilySpec("path"))
+    spec = FamilySpec("path", (1,))
+    for _ in range(MAX_NESTING):
+        spec = FamilySpec("lollipop", (1,), inner=spec, anchor=0)
+    g = build_family(spec)
+    assert g.n == MAX_NESTING + 1 and g.label == canonical_spec(spec)
+
+
 def test_non_canonical_spec_names_the_canonical_form():
     with pytest.raises(DomainError, match=r"write 'complete_product\[2,2,3\]'"):
         parse_family_spec("complete_product[2,2]:3")

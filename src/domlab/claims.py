@@ -126,10 +126,6 @@ def _orders_key(orders):
     return ",".join(str(n) for n in orders)
 
 
-def _members(vs: VertexSet):
-    return sorted(vs.members())
-
-
 def _isolated_free_graph(n, pct, seed):
     """Seeded random graph with no isolated vertex; bumps the seed until one appears."""
     s = seed
@@ -214,7 +210,7 @@ def check_complete_products_domination(order_lists=((4, 4, 4), (5, 4, 4))) -> Cl
             continue
         rep.values[f"gamma[{key}]"] = t + 1
         rep.values[f"gamma_t[{key}]"] = t + 1
-        rep.witnesses[f"gamma[{key}]"] = _members(diag)
+        rep.witnesses[f"gamma[{key}]"] = diag.members()
     return rep.finish()
 
 
@@ -234,9 +230,9 @@ def check_complete_products_paired(order_lists=((4, 4, 4), (7, 7, 7), (5, 5, 5, 
         if not (is_dominating(g, diag) and pairing_is_valid(g, diag, pairing)):
             rep.record(REFUTED, f"diagonal witness invalid on [{key}]")
             continue
-        rep.witnesses[f"gamma_pr[{key}]"] = _members(diag)
+        rep.witnesses[f"gamma_pr[{key}]"] = diag.members()
         if len(diag) < lo:
-            rep.witnesses[f"counterexample[{key}]"] = _members(diag)
+            rep.witnesses[f"counterexample[{key}]"] = diag.members()
             rep.record(REFUTED, f"[{key}]: the witness has {len(diag)} vertices, below the lower end {lo}")
             continue
         if len(diag) > lo:
@@ -284,14 +280,14 @@ def check_pendant_extension_bound(cases=None) -> ClaimReport:
         rep.values[f"gamma_pr_extended[{label}]"] = ext.value
         rep.values[f"bound[{label}]"] = bound
         if ext.value > bound:
-            rep.witnesses[f"counterexample[{label}]"] = _members(ext.witness)
+            rep.witnesses[f"counterexample[{label}]"] = ext.witness.members()
             rep.record(REFUTED, f"{label}: {ext.value} > {bound}")
             continue
         # the pendant is the last vertex of g's lollipop, so every (a, b) of
         # g x h keeps its index a*h.n + b in prod2
         built = VertexSet(prod2, base.witness.bits | bits_of(v * h.n + b for b in side.witness))
         rep.values[f"construction_size[{label}]"] = len(built)
-        rep.witnesses[f"construction[{label}]"] = _members(built)
+        rep.witnesses[f"construction[{label}]"] = built.members()
         if not is_dominating(prod2, built):
             rep.record(REFUTED, f"{label}: construction does not dominate")
         elif len(built) > base.value + side.value:
@@ -317,10 +313,10 @@ def check_appended_path_monotonicity(cases=None) -> ClaimReport:
         rep.values[f"gamma_pr_base[{label}]"] = a.value
         rep.values[f"gamma_pr_appended[{label}]"] = b.value
         if b.value < a.value:
-            rep.witnesses[f"counterexample[{label}]"] = _members(b.witness)
+            rep.witnesses[f"counterexample[{label}]"] = b.witness.members()
             rep.record(REFUTED, f"{label}: {b.value} < {a.value}")
         else:
-            rep.witnesses[f"appended[{label}]"] = _members(b.witness)
+            rep.witnesses[f"appended[{label}]"] = b.witness.members()
     return rep.finish()
 
 
@@ -349,7 +345,7 @@ def check_lollipop_product_witness(orders=(4, 4, 4), cases=((0, 0), (0, 1), (1, 
     rep = ClaimReport("lollipop-product-witness")
     t = len(orders)
     base_g, diag, diag_pairs = appended_path_paired_witness(orders, 0)
-    dmem = _members(diag)
+    dmem = diag.members()
     base_members = set(iter_product(dmem, dmem))
     base_pairing = []
     for u, v in diag_pairs:
@@ -425,8 +421,8 @@ def check_tree_paired_packing_identity(count=200, max_order=12, seed=7) -> Claim
         if pr.value == 2 * pk.value:
             matched += 1
         else:
-            rep.witnesses["counterexample_paired"] = _members(pr.witness)
-            rep.witnesses["counterexample_packing"] = _members(pk.witness)
+            rep.witnesses["counterexample_paired"] = pr.witness.members()
+            rep.witnesses["counterexample_packing"] = pk.witness.members()
             rep.record(REFUTED, f"{tree.label}: gamma_pr={pr.value}, rho_3={pk.value}")
             break
     rep.values["trees"] = count
@@ -502,8 +498,8 @@ def check_pendant_pairs_embedding() -> ClaimReport:
         rep.values[f"gamma_pr_product[{label}]"] = cp.value
         rep.values[f"rho3_product[{label}]"] = rp.value
         rep.values[f"gamma_product[{label}]"] = dp.value
-        rep.witnesses[f"gamma_pr_product[{label}]"] = _members(cp.witness)
-        rep.witnesses[f"packing_product[{label}]"] = _members(rp.witness)
+        rep.witnesses[f"gamma_pr_product[{label}]"] = cp.witness.members()
+        rep.witnesses[f"packing_product[{label}]"] = rp.witness.members()
         ok = (
             cg.value == 2 * g_base.n
             and ch.value == 2 * h_base.n
@@ -541,9 +537,7 @@ def check_pendant_pairs_embedding() -> ClaimReport:
     ):
         rep.record(REFUTED, "P4,C5: factor identities fail")
     prod, imap = direct_product(gp, hp)
-    packing = [
-        imap.index(x, y) for x in _members(rg.witness) for y in _members(rh.witness)
-    ]
+    packing = [imap.index(x, y) for x in rg.witness.members() for y in rh.witness.members()]
     pvs = VertexSet(prod, bits_of(packing))
     if not is_k_packing(prod, pvs, 3):
         rep.record(REFUTED, "P4,C5: product of 3-packings is not a 3-packing here")
@@ -553,7 +547,7 @@ def check_pendant_pairs_embedding() -> ClaimReport:
     rep.values["rho3_product_lower[P4,C5]"] = len(packing)
     rep.values["gamma_pr_product_lower[P4,C5]"] = lower
     rep.values["half_product_rhs[P4,C5]"] = rhs // 2
-    rep.witnesses["packing_product[P4,C5]"] = sorted(packing)
+    rep.witnesses["packing_product[P4,C5]"] = packing
     if 2 * lower < rhs:
         rep.record(REFUTED, "P4,C5: certified lower bound misses the half bound")
     else:
@@ -583,9 +577,9 @@ def check_rook_upper_domination() -> ClaimReport:
         rep.values[f"upper_gamma[{n}]"] = uc.value
         rep.values[f"alpha[{n}]"] = ac.value
         if n == 8:
-            rep.witnesses["upper_gamma[8]"] = _members(uc.witness)
+            rep.witnesses["upper_gamma[8]"] = uc.witness.members()
         if uc.value != n or ac.value != 2:
-            rep.witnesses[f"counterexample[{n}]"] = _members(uc.witness)
+            rep.witnesses[f"counterexample[{n}]"] = uc.witness.members()
             rep.record(REFUTED, f"n={n}: upper_gamma={uc.value}, alpha={ac.value}")
     for n in range(3, 8):
         sizes = minimal_total_dominating_sizes(rook2xn(n))
@@ -601,7 +595,7 @@ def check_rook_upper_domination() -> ClaimReport:
             continue
         rep.values[f"corner_size[{n}]"] = n * n
         if n == 3:
-            rep.witnesses["corner[3]"] = sorted(corner)
+            rep.witnesses["corner[3]"] = corner
         if 3 <= n <= 8:
             # a member's private vertices are those of N[v] not covered twice
             once = twice = 0
@@ -629,7 +623,7 @@ def check_rook_upper_domination() -> ClaimReport:
             f"n=2 square product: branch and bound gives {bb.value}, the exhaustive scan {exh_val}",
         )
     rep.values["product_upper_exhaustive[2]"] = exh_val
-    rep.witnesses["product_upper[2]"] = _members(exh_wit)
+    rep.witnesses["product_upper[2]"] = exh_wit.members()
     rep.note(
         f"exhaustive upper domination of the n=2 square product is {exh_val}; "
         "the corner-class lower bound there is 4, so the certified bound is "
@@ -661,7 +655,7 @@ def check_product_additive_domination(count=100, max_order=8, seed=7) -> ClaimRe
         slack = cp.value - (cg.value + ch.value - 1)
         min_slack = slack if min_slack is None else min(min_slack, slack)
         if slack < 0:
-            rep.witnesses["counterexample"] = _members(cp.witness)
+            rep.witnesses["counterexample"] = cp.witness.members()
             rep.record(REFUTED, f"{g.label} x {h.label}: gamma {cp.value} < {cg.value}+{ch.value}-1")
             break
     rep.values["pairs"] = count
@@ -712,7 +706,7 @@ def ratio_scan(pairs, budget: int = DEFAULT_NODE_BUDGET):
             rep.values["gamma_pr_right"] = ch.value
             rep.values["gamma_pr_product"] = cp.value
             rep.values["ratio"] = round(cp.value / (cg.value * ch.value), 6)
-            rep.witnesses["product_witness"] = _members(cp.witness)
+            rep.witnesses["product_witness"] = cp.witness.members()
         reports.append(rep.finish())
     return reports
 

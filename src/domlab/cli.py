@@ -120,7 +120,7 @@ def cmd_compute(args) -> int:
         g = graphs[0]
     k = (args.k,) if args.param == "rho_k" else ()
     cert = _guarded(_SOLVERS[args.param], g, *k, args.exact_budget)
-    witness = " ".join(str(v) for v in sorted(cert.witness.members()))
+    witness = " ".join(str(v) for v in cert.witness.members())
     if args.json:
         out = {
             "parameter": cert.parameter,
@@ -128,7 +128,7 @@ def cmd_compute(args) -> int:
             "hi": cert.hi,
             "exact": cert.exact,
             "value": cert.value,
-            "witness": sorted(cert.witness.members()),
+            "witness": cert.witness.members(),
             "pairing": [list(p) for p in cert.pairing],
             "nodes": cert.nodes,
         }

@@ -12,7 +12,7 @@ import random
 import re
 from typing import NamedTuple
 
-from .graphs import ORDER_CAP, DomainError, Graph, ResourceError
+from .graphs import EDGE_CAP, ORDER_CAP, DomainError, Graph, ResourceError
 from .products import cartesian_product, multiway_direct_complete
 
 
@@ -143,12 +143,14 @@ def random_tree(n: int, seed: int) -> Graph:
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
-    """G(n, p) with independent edge flips in fixed (u, v) order."""
+    """G(n, p) with independent edge flips in fixed (u, v) order; raises
+    ResourceError, drawing no more pairs, once its rows pass EDGE_CAP edges."""
     if not 0 <= p <= 1:
         raise DomainError("random_graph: probability in [0, 1]")
     _guard_order("random_graph", n, n)
     draw = random.Random(seed).random
     rows = [0] * n
+    m = 0
     for u in range(n):
         row, bit = rows[u], 1 << u
         for v in range(u + 1, n):
@@ -156,6 +158,9 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
                 row |= 1 << v
                 rows[v] |= bit
         rows[u] = row
+        m += (row >> u).bit_count()
+        if m > EDGE_CAP:
+            raise ResourceError(f"random_graph: {m} edges in {u + 1} of {n} rows, above the {EDGE_CAP}-edge cap")
     return Graph.from_rows(rows, f"random_graph:{n}:{p:g}#{seed}")
 
 

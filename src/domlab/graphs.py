@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from itertools import compress
-from operator import ge, le, lt
+from operator import ge, lt
 
 ORDER_CAP = 20000  # one desk-scale ceiling: constructed, materialized and read graphs
 EDGE_CAP = 1_000_000  # edges of constructed and read graphs: at most 12 MB of edge lines
@@ -94,33 +94,11 @@ class Graph:
     def m(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     def closed(self, v: int) -> int:
         return self.adj[v] | (1 << v)
 
     def full_bits(self) -> int:
         return (1 << self.n) - 1
-
-    def edges(self):
-        """Edges as (u, v) with u < v, lexicographically sorted."""
-        for u in range(self.n):
-            rest = self.adj[u] >> (u + 1) << (u + 1)
-            for v in bit_indices(rest):
-                yield (u, v)
-
-    def check_valid(self):
-        """Structural invariants; for tests, not hot paths."""
-        ensure(len(self.adj) == self.n, "row count differs from order")
-        for v, row in enumerate(self.adj):
-            ensure(row >> self.n == 0, "bit beyond order")
-            ensure(not row >> v & 1, "loop")
-            for u in bit_indices(row):
-                ensure(self.adj[u] >> v & 1, "asymmetric adjacency")
 
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
@@ -218,12 +196,9 @@ def connected_components(g: Graph) -> list[int]:
     comps = []
     left = g.full_bits()
     while left:
-        seen = frontier = left & -left
-        while frontier:
-            frontier = open_cover_bits(g, frontier) & ~seen
-            seen |= frontier
-        comps.append(seen)
-        left &= ~seen
+        comp = ball_bits(g, (left & -left).bit_length() - 1, g.n)
+        comps.append(comp)
+        left &= ~comp
     return comps
 
 
@@ -404,7 +379,7 @@ def read_graph_text(text: str) -> Graph:
         # tops the last key (-1 at first); with v < n that puts the least u,
         # us[0], and so every u, at 0 or above.
         if not (max(vs) < n and all(map(lt, us, vs)) and last < us[0] * n + vs[0]
-                and all(map(le, us, us[1:]))
+                and us == sorted(us)
                 and all(us[i - 1] < us[i] for i in compress(range(1, len(vs)), map(ge, vs, vs[1:])))):
             _edge_error(us, vs, n, last)
         last = us[-1] * n + vs[-1]

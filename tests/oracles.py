@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to pin solver outputs.
 
 Everything here enumerates subsets directly and reimplements the predicates
-from scratch (queue BFS, recursive matching), sharing only the Graph container
+from scratch (queue BFS, recursive matching, edge lists and structural checks
+read off the rows), sharing only the Graph container
 (and, for the graph text reader, the error types and the order cap) with the
 package. Intended for orders up to about 10.
 """
@@ -43,6 +44,37 @@ def _dist(g, src):
                 d[v] = d[u] + 1
                 q.append(v)
     return d
+
+
+def _bit_list(row):
+    """Ascending indices of the set bits of row, found in its binary digits."""
+    digits = bin(row)[:1:-1]  # least significant digit first
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
+
+
+def edge_list(g):
+    """Edges (u, v) with u < v in lexicographic order, read off the rows."""
+    return [(u, v) for u, row in enumerate(g.adj) for v in _bit_list(row) if v > u]
+
+
+def check_structure(g):
+    """Raises AssertionError unless the rows describe a simple graph: one row
+    per vertex, no bit past the order, no loop, and v in row u iff u in row v."""
+    if len(g.adj) != g.n:
+        raise AssertionError("row count differs from order")
+    for u, row in enumerate(g.adj):
+        if row >> g.n:
+            raise AssertionError(f"row {u} has a bit beyond the order")
+        if row >> u & 1:
+            raise AssertionError(f"loop at vertex {u}")
+        for v in _bit_list(row):
+            if not g.adj[v] >> u & 1:
+                raise AssertionError(f"edge ({u},{v}) missing from row {v}")
 
 
 def distances(g):
@@ -227,8 +259,9 @@ def brute_write_graph_text(g, comment=None):
     if comment:
         for c in str(comment).splitlines():
             lines.append(f"# {c}" if c else "#")
-    lines.append(f"{g.n} {g.m}")
-    lines.extend(f"{u} {v}" for u, v in g.edges())
+    edges = edge_list(g)
+    lines.append(f"{g.n} {len(edges)}")
+    lines.extend(f"{u} {v}" for u, v in edges)
     return "\n".join(lines) + "\n"
 
 

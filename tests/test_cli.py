@@ -58,6 +58,12 @@ def test_construct_over_the_edge_cap_exits_4_and_writes_nothing(tmp_path, capsys
     code, out, err = run_cli(capsys, "construct", "complete:1500", "-o", str(target))
     assert code == 4 and out == "" and _one_line_error(err) and "1124250 edges" in err
     assert not target.exists()
+    # drawing all 18 million pairs of K6000 would take seconds; random_graph
+    # stops once its finished rows pass the cap, after about 170 rows
+    target = tmp_path / "r6000.adj"
+    code, out, err = run_cli(capsys, "construct", "random_graph:6000:100#1", "-o", str(target))
+    assert code == 4 and out == "" and _one_line_error(err) and "edge cap" in err
+    assert not target.exists()
 
 
 def test_construct_anchor_outside_the_inner_graph_exits_2(capsys):

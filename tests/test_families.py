@@ -3,11 +3,13 @@
 import random
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
-from oracles import distances, is_connected
+from oracles import check_structure, distances, is_connected
 
+from domlab import families
 from domlab.graphs import DomainError, Graph, ResourceError
 from domlab.families import (
     _FAMILIES,
@@ -38,11 +40,11 @@ def test_basic_family_shapes():
     assert path(6).m == 5 and path(1).m == 0
     assert cycle(5).m == 5
     g = star(4)
-    assert g.n == 5 and g.degree(0) == 4 and g.degree(3) == 1
+    assert g.n == 5 and g.adj[0].bit_count() == 4 and g.adj[3].bit_count() == 1
     s = subdivided_star(3)
-    assert s.n == 7 and s.degree(0) == 3
-    assert s.degree(1) == 2 and s.degree(4) == 1  # midpoint, leaf
-    assert s.has_edge(1, 4) and not s.has_edge(0, 4)
+    assert s.n == 7 and s.adj[0].bit_count() == 3
+    assert s.adj[1].bit_count() == 2 and s.adj[4].bit_count() == 1  # midpoint, leaf
+    assert s.adj[1] >> 4 & 1 and not s.adj[0] >> 4 & 1
 
 
 def test_family_labels():
@@ -56,8 +58,7 @@ def test_lollipop_labels_and_shape():
     base = complete(5)
     g = lollipop(base, 3, anchor=2)
     assert g.n == 8
-    assert g.has_edge(2, 5) and g.has_edge(5, 6) and g.has_edge(6, 7)
-    assert not g.has_edge(2, 6)
+    assert g.adj[5] == 1 << 2 | 1 << 6 and g.adj[6] == 1 << 5 | 1 << 7
     assert g.label == "lollipop(complete:5):3@2"
     assert lollipop(base, 0, 0) is base
 
@@ -83,8 +84,7 @@ def test_pendant_pairs_shape_and_tip_distances():
         d = distances(g)
         for v in range(n):
             mid, tip = n + 2 * v, n + 2 * v + 1
-            assert g.has_edge(v, mid) and g.has_edge(mid, tip)
-            assert g.degree(tip) == 1
+            assert g.adj[v] >> mid & 1 and g.adj[tip] == 1 << mid
         # tips sit 4 apart plus the base distance, so they form a 3-packing
         for u in range(n):
             for v in range(u + 1, n):
@@ -97,9 +97,9 @@ def test_rook2xn_structure():
     g = rook2xn(n)
     assert g.n == 2 * n
     for v in range(2 * n):
-        assert g.degree(v) == n
-    assert g.has_edge(0, n)  # matching edge between the two cliques
-    assert g.has_edge(0, 1) and not g.has_edge(0, n + 1)
+        assert g.adj[v].bit_count() == n
+    assert g.adj[0] >> n & 1  # matching edge between the two cliques
+    assert g.adj[0] >> 1 & 1 and not g.adj[0] >> n + 1 & 1
 
 
 def test_cayleypop_small_case_is_hexagon_with_tail():
@@ -113,8 +113,8 @@ def test_cayleypop_small_case_is_hexagon_with_tail():
                 for d_ in range(3):
                     i, j = a * 3 + b, c * 3 + d_
                     if i != j:
-                        assert g.has_edge(i, j) == (a != c and b != d_)
-    assert g.has_edge(0, 6) and g.has_edge(6, 7)
+                        assert bool(g.adj[i] >> j & 1) == (a != c and b != d_)
+    assert g.adj[0] >> 6 & 1 and g.adj[6] >> 7 & 1
     with pytest.raises(DomainError):
         cayleypop([3, 3], 1)
 
@@ -175,6 +175,29 @@ def test_random_graph_builds_no_edge_list():
     assert g.m == 44_850 and peak < 1_000_000
 
 
+def test_random_graph_raises_past_the_edge_cap_before_drawing_every_pair(monkeypatch):
+    # K40 at p = 1/2 has about 390 edges over 780 pairs; with the cap at 30
+    # the first rows pass it, so most pairs are never drawn
+    draws = 0
+
+    class CountingRandom(random.Random):
+        def random(self):
+            nonlocal draws
+            draws += 1
+            return super().random()
+
+    monkeypatch.setattr(families, "random", SimpleNamespace(Random=CountingRandom))
+    g = random_graph(40, 0.5, seed=3)
+    assert draws == 780
+    monkeypatch.setattr(families, "EDGE_CAP", g.m)
+    assert random_graph(40, 0.5, seed=3).adj == g.adj  # at the cap: the same graph
+    monkeypatch.setattr(families, "EDGE_CAP", 30)
+    draws = 0
+    with pytest.raises(ResourceError, match="above the 30-edge cap"):
+        random_graph(40, 0.5, seed=3)
+    assert 0 < draws < 780 // 4
+
+
 def test_family_order_guards():
     with pytest.raises(ResourceError):
         complete(25000)
@@ -200,7 +223,7 @@ def test_parse_and_canonical_round_trip():
     ):
         spec = parse_family_spec(text)
         assert canonical_spec(spec) == text
-        build_family(spec).check_valid()
+        check_structure(build_family(spec))
 
 
 # one spec per family, beside the direct constructor call it must build

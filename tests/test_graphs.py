@@ -27,7 +27,7 @@ from domlab.graphs import (
 )
 from domlab.families import cycle, lollipop, path, pendant_pairs, random_graph, star
 from domlab.solvers import is_dominating
-from oracles import brute_read_graph_text, brute_write_graph_text
+from oracles import brute_read_graph_text, brute_write_graph_text, check_structure, distances, edge_list
 
 
 def test_bitset_round_trip():
@@ -40,11 +40,10 @@ def test_bitset_round_trip():
 def test_graph_basics():
     g = Graph(4, [(0, 1), (2, 1), (2, 3)], "demo")
     assert g.n == 4 and g.m == 3 and g.label == "demo"
-    assert g.has_edge(1, 2) and g.has_edge(1, 0) and not g.has_edge(0, 3)
-    assert g.degree(1) == 2
+    assert g.adj == (0b0010, 0b0101, 0b1010, 0b0100)
     assert g.closed(1) == bits_of([0, 1, 2])
     assert g.full_bits() == 0b1111
-    assert sorted(g.edges()) == [(0, 1), (1, 2), (2, 3)]
+    assert edge_list(g) == [(0, 1), (1, 2), (2, 3)]
 
 
 def test_graph_from_rows_matches_edge_form():
@@ -58,10 +57,14 @@ def test_graph_rejects_bad_input():
         Graph(2, [(0, 0)])  # self loop
     with pytest.raises(IndexError):
         Graph(2, [(0, 5)])
-    # from_rows trusts its caller; check_valid is the explicit validator
-    with pytest.raises(AssertionError):
-        Graph.from_rows([0b010, 0b000]).check_valid()
-    Graph(3, [(0, 1), (1, 2)]).check_valid()
+    # from_rows trusts its caller; the oracle's structural check catches a bad row
+    with pytest.raises(AssertionError, match="missing"):
+        check_structure(Graph.from_rows([0b010, 0b000]))
+    with pytest.raises(AssertionError, match="loop"):
+        check_structure(Graph.from_rows([0b01]))
+    with pytest.raises(AssertionError, match="beyond"):
+        check_structure(Graph.from_rows([0b100, 0b000]))
+    check_structure(Graph(3, [(0, 1), (1, 2)]))
 
 
 def test_vertex_set_operations():
@@ -91,7 +94,7 @@ def test_cover_bits():
 def _brute_dist(g):
     # Floyd-Warshall on the adjacency, independent of the BFS code
     inf = float("inf")
-    d = [[0 if i == j else (1 if g.has_edge(i, j) else inf) for j in range(g.n)] for i in range(g.n)]
+    d = [[0 if i == j else (1 if g.adj[i] >> j & 1 else inf) for j in range(g.n)] for i in range(g.n)]
     for k in range(g.n):
         for i in range(g.n):
             for j in range(g.n):
@@ -116,7 +119,7 @@ def test_distance_power_conflict_graph():
             c = distance_power_conflict_graph(g, k)
             for u in range(g.n):
                 for v in range(u + 1, g.n):
-                    assert c.has_edge(u, v) == (d[u][v] <= k)
+                    assert bool(c.adj[u] >> v & 1) == (d[u][v] <= k)
     with pytest.raises(DomainError):
         distance_power_conflict_graph(path(6), 0)
 
@@ -130,12 +133,39 @@ def test_components_and_connectivity():
     assert not has_isolated_vertex(path(2))
 
 
+def test_components_and_balls_match_the_distance_oracle():
+    """connected_components and ball_bits against BFS distances, orders 0 to
+    12: sparse draws give isolated vertices and several components, and a
+    disjoint union of two draws always has at least two."""
+    rng = random.Random(71)
+    isolated = several = 0
+    for trial in range(300):
+        n = rng.randrange(13)
+        g = random_graph(n, rng.choice([0.0, 0.1, 0.2, 0.4, 0.8]), seed=7100 + trial) if n else Graph(0)
+        if trial % 3 == 0 and 0 < n < 12:
+            h = random_graph(12 - n, rng.random(), seed=7500 + trial)
+            g = Graph.from_rows(g.adj + tuple(row << n for row in h.adj))
+        d = distances(g)
+        want = []  # first seen over ascending vertices: ordered by smallest member
+        for v in range(g.n):
+            comp = bits_of(u for u in range(g.n) if d[v][u] >= 0)
+            if comp not in want:
+                want.append(comp)
+        assert connected_components(g) == want
+        for v in range(g.n):
+            for k in range(g.n + 1):
+                assert ball_bits(g, v, k) == bits_of(u for u in range(g.n) if 0 <= d[v][u] <= k)
+        isolated += 0 in g.adj
+        several += len(want) > 1
+    assert isolated > 50 and several > 100
+
+
 def test_induced_subgraph():
     g = cycle(6)
     sub, relab = induced_subgraph(g, VertexSet.of(g, [0, 1, 2, 4]))
     assert sub.n == 4
     assert relab == {0: 0, 1: 1, 2: 2, 4: 3}
-    assert sorted(sub.edges()) == [(0, 1), (1, 2)]
+    assert edge_list(sub) == [(0, 1), (1, 2)]
 
 
 def test_text_format_round_trip():
@@ -150,7 +180,7 @@ def test_text_format_round_trip():
 
 def test_text_format_comments_allowed_blank_lines_rejected():
     g = read_graph_text("# hello\n3 2\n# mid\n0 1\n1 2\n")
-    assert g.n == 3 and sorted(g.edges()) == [(0, 1), (1, 2)]
+    assert g.n == 3 and edge_list(g) == [(0, 1), (1, 2)]
     with pytest.raises(FormatError):
         read_graph_text("3 2\n\n0 1\n1 2\n")
 
